@@ -111,8 +111,8 @@ def _cmd_twins(args):
     if card in ("infinite", "continuum"):
         if args.seed is not None:
             rng = random.Random(args.seed)
-            # keep offsets small: a patched position must stay shallow enough
-            # to show up in the fixed-depth verification codes
+            # keep offsets small: the verification cut depth and shift search
+            # grow with the deepest patched position
             offsets = rng.sample(range(max(6, args.count)), args.count)
             sets = [tuple(j * (j + 1) // 2 + off for j in range(1, 7)) for off in offsets]
             family = [twin_from_subset(t, a, args.horizon) for a in sets]

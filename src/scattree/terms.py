@@ -57,6 +57,28 @@ def tri_and(*vals):
 
 # -- term classes -------------------------------------------------------------
 
+def _same_structure(a, b) -> bool:
+    """Structural equality of two terms or sequences of the same type and
+    hash, from an explicit stack: generated stages nest as deep as their
+    index, which soon passes Python's recursion limit."""
+    stack = [(a._key(), b._key())]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if isinstance(x, (Term, ComponentSeq)):
+            if type(x) is not type(y) or x._hash != y._hash:
+                return False
+            stack.append((x._key(), y._key()))
+        elif isinstance(x, tuple):
+            if type(y) is not tuple or len(x) != len(y):
+                return False
+            stack.extend(zip(x, y))
+        elif x != y:
+            return False
+    return True
+
+
 class Term:
     __slots__ = ("_hash",)
 
@@ -65,7 +87,7 @@ class Term:
             return True
         if type(self) is not type(other) or self._hash != other._hash:
             return False
-        return self._key() == other._key()
+        return _same_structure(self, other)
 
     def __hash__(self):
         return self._hash
@@ -147,7 +169,7 @@ class ComponentSeq:
             return True
         if type(self) is not type(other) or self._hash != other._hash:
             return False
-        return self._key() == other._key()
+        return _same_structure(self, other)
 
     def __hash__(self):
         return self._hash
@@ -188,7 +210,7 @@ class Generated(ComponentSeq):
 class Patched(ComponentSeq):
     """A sequence with finitely many positions overridden."""
 
-    __slots__ = ("inner", "patches")
+    __slots__ = ("inner", "patches", "_map", "_stage_index")
 
     def __init__(self, inner: ComponentSeq, patches):
         if isinstance(inner, Patched):
@@ -201,12 +223,15 @@ class Patched(ComponentSeq):
             if n < 0:
                 raise TermError("patch positions must be >= 0")
         self._hash = hash(("patched", inner._hash, tuple((n, t._hash) for n, t in self.patches)))
+        self._map = dict(self.patches)
+        self._stage_index = {}  # patched position -> _effective_stage_index
 
     def _key(self):
         return (self.inner, self.patches)
 
-    def patch_map(self):
-        return dict(self.patches)
+    def patch_at(self, n):
+        """The patch term at position n, or None."""
+        return self._map.get(n)
 
 
 class Context:
@@ -585,10 +610,8 @@ def stage(seq: ComponentSeq, n: int) -> Term:
             stages.append(seq.context.subst(stages[-1]))
         return stages[n]
     if isinstance(seq, Patched):
-        pm = seq.patch_map()
-        if n in pm:
-            return pm[n]
-        return stage(seq.inner, n)
+        t = seq.patch_at(n)
+        return stage(seq.inner, n) if t is None else t
     raise TermError(f"bad sequence {seq!r}")
 
 
@@ -952,6 +975,103 @@ def truncate(t: Term, depth: int, width: int = 3) -> Truncation:
     build_into(t, root, depth)
     tree = FiniteTree(counter[0], edges)
     return Truncation(tree, root, lossy[0], spine)
+
+
+class CutCoder:
+    """Symbolic isomorphism codes of truncation cuts, without building them.
+
+    ``code(t, depth)`` is an integer id of the rooted isomorphism class of
+    ``truncate(t, depth, width).rooted``: the AHU scheme (Aho, Hopcroft and
+    Ullman 1974) with the children's classes interned as a sorted multiset.
+    A cut is a function of (subterm, remaining depth), and a spine vertex's
+    cut of (sequence, spine position, remaining depth), so both the codes
+    and the intern table are memoised on those keys; the work grows with the
+    number of distinct keys, not with the vertices of the cut.  Keys are
+    coded from an explicit stack, children first, so a deep cut (a long
+    spine or succ chain) needs no Python recursion.  Ids are handed out in
+    first-visit order, so they repeat under every hash seed, and two ids are
+    comparable only when the same coder made them.
+    """
+
+    __slots__ = ("width", "_ids", "_memo")
+
+    def __init__(self, width: int):
+        self.width = width
+        self._ids = {}  # sorted ((child id, multiplicity), ...) -> id
+        self._memo = {}  # (term, depth) or (seq, spine position, depth) -> id
+
+    def code(self, t: Term, depth: int) -> int:
+        if depth < 0:
+            raise TermError("depth must be >= 0")
+        memo = self._memo
+        stack = [(t, depth)]
+        kids_of = {}  # key on the stack -> {child key: multiplicity}
+        while stack:
+            key = stack[-1]
+            if key in memo:
+                stack.pop()
+                continue
+            kids = kids_of.get(key)
+            if kids is None:
+                kids = kids_of[key] = {}
+                if len(key) == 2:
+                    self._hang(key[0], key[1], 1, kids)
+                else:
+                    self._hang_spine(*key, 1, kids)
+                todo = [k for k in kids if k not in memo]
+                if todo:
+                    stack.extend(reversed(todo))
+                    continue
+            stack.pop()
+            del kids_of[key]
+            shape = {}
+            for k, m in kids.items():
+                c = memo[k]
+                shape[c] = shape.get(c, 0) + m
+            memo[key] = self._ids.setdefault(tuple(sorted(shape.items())), len(self._ids))
+        return memo[(t, depth)]
+
+    def _hang(self, t, budget, copies, kids):
+        """Count into `kids` the keys of the child cuts that truncate hangs
+        at the vertex where t's root sits, `copies` times over."""
+        if isinstance(t, Box):
+            return
+        if isinstance(t, Succ):
+            if budget >= 1:
+                k = (t.child, budget - 1)
+                kids[k] = kids.get(k, 0) + copies
+            return
+        if isinstance(t, Sup):
+            for a, m in t.arms:
+                self._hang(a, budget, copies * (self.width if m == OMEGA_MULT else m), kids)
+            return
+        if isinstance(t, WSum):
+            self._hang_spine(t.seq, 0, budget, copies, kids)
+            return
+        if isinstance(t, SupSeq):
+            for j in range(self.width):
+                self._hang(stage(t.seq, j), budget, copies, kids)
+            return
+        raise TermError(f"bad term {t!r}")
+
+    def _hang_spine(self, seq, j, budget, copies, kids):
+        """The same for spine vertex j of wsum(seq): component j, then spine
+        vertex j + 1 one level down."""
+        self._hang(stage(seq, j), budget, copies, kids)
+        if budget >= 1:
+            k = (*_spine_key(seq, j + 1), budget - 1)
+            kids[k] = kids.get(k, 0) + copies
+
+
+def _spine_key(seq, j):
+    """(sequence, position) naming spine vertex j's cut: past the last patch
+    the inner sequence, and a periodic position folded into its first
+    period, so spines that agree from some vertex on share their codes."""
+    if isinstance(seq, Patched) and (not seq.patches or j > seq.patches[-1][0]):
+        seq = seq.inner
+    if isinstance(seq, Periodic) and j >= len(seq.prefix) + len(seq.cycle):
+        j = len(seq.prefix) + (j - len(seq.prefix)) % len(seq.cycle)
+    return seq, j
 
 
 def expand_finite(t: Term) -> RootedFiniteTree:
@@ -1374,14 +1494,13 @@ def _effective_stage_index(seq, n):
     """If component n of seq equals stage k of the underlying generator,
     return k."""
     if isinstance(seq, Patched):
-        pm = seq.patch_map()
-        if n in pm:
-            t = pm[n]
-            for k in range(0, n + 2):
-                if stage(seq.inner, k) == t:
-                    return k
-            return None
-        return _effective_stage_index(seq.inner, n)
+        t = seq.patch_at(n)
+        if t is None:
+            return _effective_stage_index(seq.inner, n)
+        found = seq._stage_index
+        if n not in found:
+            found[n] = next((k for k in range(n + 2) if stage(seq.inner, k) == t), None)
+        return found[n]
     return n
 
 

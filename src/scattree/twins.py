@@ -25,10 +25,10 @@ import json
 import re
 from math import gcd
 
-from .finite_trees import canonical_code
 from .terms import (
     BOX,
     YES,
+    CutCoder,
     Generated,
     Patched,
     Periodic,
@@ -37,7 +37,6 @@ from .terms import (
     WSum,
     equimorphic,
     stage,
-    truncate,
 )
 
 # ---------------------------------------------------------------------------
@@ -568,18 +567,45 @@ def almost_disjoint_family(count: int, length: int = 8):
     return [tuple(x + s for x in base) for s in range(count)]
 
 
-def verify_twins(t: Term, twins, depth: int = 20, width: int = 6, horizon: int = 12) -> dict:
+# omega multiplicities and supseq families are cut to this many copies in
+# the verification cuts
+CUT_WIDTH = 6
+# verify_twins follows patches this deep into the spine and no deeper: a
+# deeper patch leaves its member's checks open instead of growing the work
+MAX_REACH = 128
+
+
+def verify_twins(t: Term, twins, horizon: int = 12) -> dict:
     """Certify a twin family: every member mutually embeddable with t
-    (engine verdicts), and pairwise distinct truncation codes at the given
-    depth.  Truncation keeps everything within `depth` of the root, so a
-    code difference exhibits a concrete finite neighbourhood on which the
-    trees disagree."""
+    (engine verdicts), and pairwise distinct cut codes.
+
+    The cut depth is derived from the family: 20, or two past the deepest
+    patched spine position of any member (the reach, at most MAX_REACH),
+    whichever is larger, so every patch up to MAX_REACH lies inside the
+    cut.  A cut keeps everything within that depth of
+    the root (omega multiplicities and supseq families cut to CUT_WIDTH
+    copies), so a code difference exhibits a concrete finite neighbourhood
+    on which the trees disagree.  Codes are symbolic (``CutCoder``) and
+    share one intern table, so they are comparable only within one result.
+    The mutual checks search spine shifts up to `horizon` past the same
+    reach, since the n-th twin_n member needs a shift of at least 3n + 2.
+    Members patched past MAX_REACH may come out `unknown` or share a code:
+    the family is then reported unverified, never wrongly verified.
+    """
     items = [t] + list(twins)
-    codes = []
-    for x in items:
-        cut = truncate(x, depth, width)
-        codes.append(canonical_code(cut.rooted))
-    mutual = [equimorphic(t, s, horizon) for s in twins]
+    reach = max(
+        (
+            x.seq.patches[-1][0] + 2
+            for x in items
+            if isinstance(x, WSum) and isinstance(x.seq, Patched) and x.seq.patches
+        ),
+        default=0,
+    )
+    reach = min(reach, MAX_REACH)
+    coder = CutCoder(CUT_WIDTH)
+    depth = max(20, reach)
+    codes = [str(coder.code(x, depth)) for x in items]
+    mutual = [equimorphic(t, s, horizon + reach) for s in twins]
     distinct = len(set(codes)) == len(codes)
     return {
         "mutual": mutual,

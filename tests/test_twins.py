@@ -1,15 +1,27 @@
 import json
+import os
+import random
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scattree
+from scattree.finite_trees import canonical_code
 from scattree.stability import CONTINUUM, ONE
 from scattree.terms import (
+    BOX,
+    CutCoder,
+    Succ,
     TermError,
+    UNKNOWN,
     YES,
     builtins,
     equimorphic,
     parse_term,
+    truncate,
 )
 from scattree.twins import (
     LabelledPath,
@@ -298,3 +310,145 @@ def test_generated_twin_family_verifies(n):
     t = parse_term("wsum([](succ(box)))")
     twins = [twin_n(t, k) for k in range(1, n + 1)]
     assert verify_twins(t, twins)["ok"]
+
+
+# -- symbolic cut codes ---------------------------------------------------------
+
+_CONTEXTS = ("succ(_)", "sup(_*2)", "succ(sup(_*2))", "sup(succ(_)*w)", "sup(_,succ(box))", "wsum([_](box))")
+
+
+def _random_term(rng, depth):
+    """Seeded term text over the whole grammar: omega arms, wsum and supseq
+    over periodic, generated and patched sequences."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.2:
+        return "box"
+    if roll < 0.4:
+        return f"succ({_random_term(rng, depth - 1)})"
+    if roll < 0.6:
+        arms = [
+            f"{_random_term(rng, depth - 1)}*{rng.choice(['1', '2', 'w'])}"
+            for _ in range(rng.randrange(1, 3))
+        ]
+        return f"sup({','.join(arms)})"
+    return f"{rng.choice(['wsum', 'supseq'])}({_random_seq(rng, depth - 1)})"
+
+
+def _random_seq(rng, depth):
+    roll = rng.random()
+    if roll < 0.4:
+        pre = ",".join(_random_term(rng, depth) for _ in range(rng.randrange(0, 2)))
+        cyc = ",".join(_random_term(rng, depth) for _ in range(rng.randrange(1, 3)))
+        return f"[{pre}]({cyc})"
+    if roll < 0.7:
+        return f"gen({_random_term(rng, depth)};{rng.choice(_CONTEXTS)})"
+    patches = ",".join(
+        f"{n}:{_random_term(rng, depth)}" for n in sorted(rng.sample(range(5), rng.randrange(1, 3)))
+    )
+    return f"patch({_random_seq(rng, depth)};{patches})"
+
+
+def _oracle_corpus():
+    rng = random.Random(7)
+    terms = list(builtins().values())
+    terms += [parse_term(_random_term(rng, 3)) for _ in range(60)]
+    ex1 = builtins()["ex1"]
+    terms += [twin_n(ex1, 1), twin_from_subset(ex1, (1, 3))]
+    # spines that repeat with period 3 after a prefix, with and without patches
+    terms += [
+        parse_term("wsum([succ(box)](box,succ(box),succ(succ(box))))"),
+        parse_term("wsum(patch([succ(box)](box,succ(box),succ(succ(box)));4:succ(box)))"),
+    ]
+    return terms
+
+
+def test_cut_codes_match_canonical_codes_of_truncations():
+    # every cut up to 3000 vertices: two symbolic codes are equal exactly
+    # when the materialised cuts have equal AHU strings
+    for width in (1, 2, 3):
+        coder = CutCoder(width)
+        pairs = set()
+        for t in _oracle_corpus():
+            for depth in range(9):
+                cut = truncate(t, depth, width)
+                if cut.tree.n > 3000:
+                    break
+                pairs.add((coder.code(t, depth), canonical_code(cut.rooted)))
+        assert len({s for s, _ in pairs}) == len(pairs) == len({c for _, c in pairs})
+        assert len(pairs) > 100
+
+
+_PRINT_CODES = """
+from scattree.terms import CutCoder, builtins
+from scattree.twins import twin_from_subset, twin_n, verify_twins
+ex1 = builtins()["ex1"]
+coder = CutCoder(3)
+print([coder.code(t, d) for t in builtins().values() for d in range(6)])
+print(verify_twins(ex1, [twin_n(ex1, j) for j in (1, 2)] + [twin_from_subset(ex1, (2, 5))])["codes"])
+"""
+
+
+def test_cut_codes_repeat_under_every_hash_seed():
+    src = os.path.dirname(os.path.dirname(scattree.__file__))
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", _PRINT_CODES], env=env, capture_output=True, text=True, check=True
+        )
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].count("\n") == 2
+
+
+def test_ex2_twin_family_verifies_in_bounded_memory():
+    # materialising ex2's cuts ran out of memory; the symbolic codes stay
+    # far below the 50 MB ceiling
+    ex2 = builtins()["ex2"]
+    family = [twin_n(ex2, j) for j in range(1, 9)]
+    tracemalloc.start()
+    try:
+        report = verify_twins(ex2, family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["ok"]
+    assert peak < 50 * 2**20
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex3"])
+def test_twenty_member_families_verify(name):
+    # the n-th member's pruned zone reaches position 3n + 2 or beyond, past
+    # both a fixed depth-20 cut and a fixed shift horizon
+    t = builtins()[name]
+    report = verify_twins(t, [twin_n(t, j) for j in range(1, 21)])
+    assert report["mutual"] == [YES] * 20
+    assert report["codes_distinct"]
+
+
+def _succ_chain(n):
+    t = BOX
+    for _ in range(n):
+        t = Succ(t)
+    return t
+
+
+def test_deep_cuts_code_without_recursion():
+    # a path of 3001 vertices, once as a succ chain and once as the spine of
+    # wsum([](box)); both lie far past Python's recursion limit
+    chain = _succ_chain(3000)
+    assert chain == _succ_chain(3000)
+    coder = CutCoder(2)
+    assert coder.code(chain, 3000) == coder.code(parse_term("wsum([](box))"), 3000)
+    assert coder.code(chain, 3000) != coder.code(chain, 2999)
+
+
+def test_member_patched_past_the_reach_cap_gets_a_verdict():
+    # twin_n(ex1, 300) is pruned up to spine position 901; verify_twins
+    # follows patches only MAX_REACH deep, so the shift it needs stays
+    # open, but the check returns instead of recursing 900 levels
+    ex1 = builtins()["ex1"]
+    report = verify_twins(ex1, [twin_n(ex1, 300)])
+    assert report["mutual"] == [UNKNOWN]
+    assert report["codes_distinct"]
+    assert not report["ok"]
