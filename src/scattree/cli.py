@@ -228,6 +228,10 @@ def main(argv=None) -> int:
     except OracleError as e:
         print(f"oracle failure: {e}", file=sys.stderr)
         return 3
+    except (RecursionError, MemoryError) as e:
+        # out of stack or memory: no verdict, so not the exit code of one
+        print(f"error: {type(e).__name__}: the input is too large to analyze", file=sys.stderr)
+        return 4
     if args.format == "json" and "_raw" not in payload:
         text = json.dumps(payload, indent=2)
     else:

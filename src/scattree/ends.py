@@ -9,6 +9,22 @@ k.  An eventual period holds only from some offset u on.  A term is almost
 rigid (path-aligned) when no strict period exists: no spine-aligned
 self-embedding moves the spine.
 
+Every period question is one walk, `_holds_from(seq, u, k)`: does the pair
+check hold between component n and component n+k for every n >= u?  The
+check is one-way embedding for shift periods and embedding both ways for
+the origin's equimorphy period.  The walk reads a finite window:
+
+* periodic: the pairs n = u .. u + len(prefix) + len(cycle); later pairs
+  repeat these;
+* patched: the pairs from u up to the last patch plus k, then the inner
+  sequence from there on;
+* generated: the pair at min(u, 4), whose yes carries to every later pair
+  because the context preserves embeddings; failing that, the pair at u,
+  the only one whose no refutes.
+
+A strict period is the walk from 0, an eventual period the least offset u
+from which it holds.
+
 Regularity asks whether the components fall into finitely many equimorphy
 classes.  Certificates:
 
@@ -34,7 +50,6 @@ from .terms import (
     YES,
     Generated,
     INF,
-    OMEGA_MULT,
     Patched,
     Periodic,
     Term,
@@ -94,92 +109,40 @@ class ShiftReport:
         )
 
 
-def _strict_period(seq, k, memo) -> str:
-    """Does component n embed in component n+k for every n >= 0?"""
+# A verified pair of generated stages at or below this position carries
+# forward through the context, so the walk tries it before the pair at u.
+_EARLY_STAGE = 4
+
+
+def _one_way(a, b, memo) -> str:
+    return embeds(a, b, _memo=memo)
+
+
+def _both_ways(a, b, memo) -> str:
+    return tri_and(embeds(a, b, _memo=memo), embeds(b, a, _memo=memo))
+
+
+def _holds_from(seq, u, k, memo, rel=_one_way) -> str:
+    """Does rel(component n, component n+k) hold for every n >= u?"""
+
+    def pair(n):
+        return rel(stage(seq, n), stage(seq, n + k), memo)
+
     if isinstance(seq, Periodic):
-        window = len(seq.prefix) + _cyc(seq)
-        return tri_and(
-            *(embeds(stage(seq, n), stage(seq, n + k), _memo=memo) for n in range(window + 1))
-        )
+        return tri_and(*(pair(n) for n in range(u, u + len(seq.prefix) + len(seq.cycle) + 1)))
     if isinstance(seq, Generated):
-        # stage 0 into stage k is necessary (n = 0) and sufficient: applying
-        # the context n times carries it to every later pair
-        return embeds(stage(seq, 0), stage(seq, k), _memo=memo)
+        # the context preserves rel, so a pair holding at v <= u holds at
+        # every n >= v; only the pair at u itself refutes
+        v = min(u, _EARLY_STAGE)
+        verdict = pair(v)
+        return verdict if verdict == YES or v == u else pair(u)
     if isinstance(seq, Patched):
-        last = max((n for n, _ in seq.patches), default=-1)
-        head = tri_and(
-            *(
-                embeds(stage(seq, n), stage(seq, n + k), _memo=memo)
-                for n in range(last + k + 1)
-            )
-        )
+        tail = max(seq.last_patch() + k + 1, u)
+        head = tri_and(*(pair(n) for n in range(u, tail)))
         if head == NO:
             return NO
-        tail = _strict_period_from(seq.inner, last + k + 1, k, memo)
-        return tri_and(head, tail)
+        return tri_and(head, _holds_from(seq.inner, tail, k, memo, rel))
     raise TermError(f"bad sequence {seq!r}")
-
-
-def _strict_period_from(seq, start, k, memo) -> str:
-    if isinstance(seq, Periodic):
-        window = len(seq.prefix) + _cyc(seq)
-        return tri_and(
-            *(
-                embeds(stage(seq, n), stage(seq, n + k), _memo=memo)
-                for n in range(start, start + window + 1)
-            )
-        )
-    if isinstance(seq, Generated):
-        # a verified pair at u <= start propagates through the context to
-        # every n >= u; a failure refutes only when checked at start itself
-        u = min(start, 4)
-        verdict = embeds(stage(seq, u), stage(seq, u + k), _memo=memo)
-        if verdict == YES:
-            return YES
-        if verdict == NO and u == start:
-            return NO
-        return UNKNOWN
-    raise TermError(f"bad sequence {seq!r}")
-
-
-def _eventual_period(seq, k, memo, u_max):
-    """Least u <= u_max with component n embedding in component n+k for all
-    n >= u, or None."""
-    for u in range(u_max + 1):
-        if _holds_from(seq, u, k, memo) == YES:
-            return u
-    return None
-
-
-def _holds_from(seq, u, k, memo) -> str:
-    if isinstance(seq, Periodic):
-        window = len(seq.prefix) + _cyc(seq)
-        return tri_and(
-            *(
-                embeds(stage(seq, n), stage(seq, n + k), _memo=memo)
-                for n in range(u, u + window + 1)
-            )
-        )
-    if isinstance(seq, Generated):
-        # one verified pair propagates forward through the context
-        return embeds(stage(seq, u), stage(seq, u + k), _memo=memo)
-    if isinstance(seq, Patched):
-        last = max((n for n, _ in seq.patches), default=-1)
-        head = tri_and(
-            *(
-                embeds(stage(seq, n), stage(seq, n + k), _memo=memo)
-                for n in range(u, max(last + k + 1, u))
-            )
-        )
-        if head == NO:
-            return NO
-        tail = _holds_from(seq.inner, max(last + k + 1, u), k, memo)
-        return tri_and(head, tail)
-    raise TermError(f"bad sequence {seq!r}")
-
-
-def _cyc(seq: Periodic) -> int:
-    return len(seq.cycle)
 
 
 def regular_components(seq) -> tuple[str, str]:
@@ -222,38 +185,24 @@ def _growth_certificate(seq: Generated):
     return None
 
 
-def _almost_rigid(seq, periods_yes, periods_no, periods_unknown, horizon):
+def _almost_rigid(seq, periods_yes, periods_unknown, horizon):
     """Tri-valued: no strict period at all?"""
     if periods_yes:
         return NO
-    if isinstance(seq, Periodic):
-        # verdicts for k beyond the horizon repeat those of k mod cycle
-        # once k clears the prefix, so the scanned range is exhaustive
-        if not periods_unknown and horizon >= len(seq.prefix) + 2 * _cyc(seq):
-            return YES
+    if periods_unknown:
         return UNKNOWN
-    if isinstance(seq, Generated):
-        if periods_unknown:
-            return UNKNOWN
+    if isinstance(seq.inner if isinstance(seq, Patched) else seq, Periodic):
+        # past the prefix and the overrides the verdict for k repeats that
+        # of k mod cycle, so a horizon past the offset bound is exhaustive
+        return YES if horizon >= _offset_bound(seq, horizon) else UNKNOWN
+    if isinstance(seq, Generated) and seq.context.hole_depth() >= 1:
         # stage 0 cannot embed into any later stage when its root degree
         # exceeds the fixed root degree of all later stages
         d0 = root_degree(stage(seq, 0))
-        if seq.context.hole_depth() >= 1:
-            d1 = root_degree(stage(seq, 1))
-            if d1 != "w" and (d0 == "w" or d0 > d1):
-                return YES
-        return UNKNOWN
-    if isinstance(seq, Patched):
-        if periods_unknown:
-            return UNKNOWN
-        inner = seq.inner
-        last = max((n for n, _ in seq.patches), default=-1)
-        if isinstance(inner, Periodic) and horizon >= last + 1 + len(inner.prefix) + 2 * _cyc(inner):
-            # beyond the overrides the verdict is periodic in k, so the
-            # scanned shift range is exhaustive
+        d1 = root_degree(stage(seq, 1))
+        if d1 != "w" and (d0 == "w" or d0 > d1):
             return YES
-        return UNKNOWN
-    raise TermError(f"bad sequence {seq!r}")
+    return UNKNOWN
 
 
 def shift_report(t: Term, horizon: int = 8) -> ShiftReport:
@@ -262,20 +211,24 @@ def shift_report(t: Term, horizon: int = 8) -> ShiftReport:
     seq = t.seq
     memo = {}
     notes = []
-    yes, no, unk = [], [], []
+    u_max = _offset_bound(seq, horizon)
+    yes, unk, eventual = [], [], {}
     for k in range(1, horizon + 1):
-        verdict = _strict_period(seq, k, memo)
-        (yes if verdict == YES else no if verdict == NO else unk).append(k)
+        # the strict verdict is the walk from 0; eventual[k] is the least
+        # offset u <= u_max from which the walk holds
+        strict = _holds_from(seq, 0, k, memo)
+        if strict == YES:
+            yes.append(k)
+        elif strict == UNKNOWN:
+            unk.append(k)
+        for u in range(u_max + 1):
+            if (strict if u == 0 else _holds_from(seq, u, k, memo)) == YES:
+                eventual[k] = u
+                break
     if unk:
         notes.append(f"strict periods undecided at {unk}")
     d = yes[0] if yes else None
-    u_max = _offset_bound(seq, horizon)
-    eventual = {}
-    for k in range(1, horizon + 1):
-        u = _eventual_period(seq, k, memo, u_max)
-        if u is not None:
-            eventual[k] = u
-    rigid = _almost_rigid(seq, yes, no, unk, horizon)
+    rigid = _almost_rigid(seq, yes, unk, horizon)
     regular, reason = regular_components(seq)
     notes.append(f"regular: {reason}")
     origin_index, origin_error = _origin(seq, regular, eventual, memo, u_max)
@@ -284,10 +237,9 @@ def shift_report(t: Term, horizon: int = 8) -> ShiftReport:
 
 def _offset_bound(seq, horizon):
     if isinstance(seq, Periodic):
-        return len(seq.prefix) + 2 * _cyc(seq)
+        return len(seq.prefix) + 2 * len(seq.cycle)
     if isinstance(seq, Patched):
-        last = max((n for n, _ in seq.patches), default=-1)
-        return last + 1 + _offset_bound(seq.inner, horizon)
+        return seq.last_patch() + 1 + _offset_bound(seq.inner, horizon)
     return max(4, horizon // 2)
 
 
@@ -302,45 +254,9 @@ def _origin(seq, regular, eventual, memo, u_max):
         return None, "no eventual period found within the horizon"
     for d in sorted(eventual):
         for u in range(u_max + 1):
-            if _equi_from(seq, u, d, memo) == YES:
+            if _holds_from(seq, u, d, memo, _both_ways) == YES:
                 return u, None
     return None, "no equimorphy period found within the horizon"
-
-
-def _equi_from(seq, u, d, memo) -> str:
-    """Component y equimorphic to component y+d for all y >= u?"""
-    if isinstance(seq, Periodic):
-        window = len(seq.prefix) + _cyc(seq)
-        return tri_and(
-            *(
-                tri_and(
-                    embeds(stage(seq, y), stage(seq, y + d), _memo=memo),
-                    embeds(stage(seq, y + d), stage(seq, y), _memo=memo),
-                )
-                for y in range(u, u + window + 1)
-            )
-        )
-    if isinstance(seq, Generated):
-        # equimorphy of one stage pair propagates through the context
-        return tri_and(
-            embeds(stage(seq, u), stage(seq, u + d), _memo=memo),
-            embeds(stage(seq, u + d), stage(seq, u), _memo=memo),
-        )
-    if isinstance(seq, Patched):
-        last = max((n for n, _ in seq.patches), default=-1)
-        head = tri_and(
-            *(
-                tri_and(
-                    embeds(stage(seq, y), stage(seq, y + d), _memo=memo),
-                    embeds(stage(seq, y + d), stage(seq, y), _memo=memo),
-                )
-                for y in range(u, max(last + d + 1, u))
-            )
-        )
-        if head == NO:
-            return NO
-        return tri_and(head, _equi_from(seq.inner, max(last + d + 1, u), d, memo))
-    raise TermError(f"bad sequence {seq!r}")
 
 
 def origin_vertex(t: Term, horizon: int = 8):
@@ -351,6 +267,3 @@ def origin_vertex(t: Term, horizon: int = 8):
         raise OriginUndefined(report.origin_error)
     return spine_address(report.origin_index)
 
-
-def almost_rigid_path_aligned(t: Term, horizon: int = 8) -> str:
-    return shift_report(t, horizon).almost_rigid

@@ -233,6 +233,10 @@ class Patched(ComponentSeq):
         """The patch term at position n, or None."""
         return self._map.get(n)
 
+    def last_patch(self):
+        """The last patched position, or -1 when nothing is patched."""
+        return self.patches[-1][0] if self.patches else -1
+
 
 class Context:
     """A term shape with exactly one hole; substitution plugs a term in."""
@@ -1067,7 +1071,7 @@ def _spine_key(seq, j):
     """(sequence, position) naming spine vertex j's cut: past the last patch
     the inner sequence, and a periodic position folded into its first
     period, so spines that agree from some vertex on share their codes."""
-    if isinstance(seq, Patched) and (not seq.patches or j > seq.patches[-1][0]):
+    if isinstance(seq, Patched) and j > seq.last_patch():
         seq = seq.inner
     if isinstance(seq, Periodic) and j >= len(seq.prefix) + len(seq.cycle):
         j = len(seq.prefix) + (j - len(seq.prefix)) % len(seq.cycle)
@@ -1405,12 +1409,9 @@ def _wsum_embeds(p, q, horizon, memo):
 def _patched_wsum_embeds(p, q, horizon, memo):
     inner_p = p.inner if isinstance(p, Patched) else p
     inner_q = q.inner if isinstance(q, Patched) else q
-    max_patch = -1
-    if isinstance(p, Patched):
-        max_patch = max([n for n, _ in p.patches] + [max_patch])
-    if isinstance(q, Patched):
-        max_patch = max([n for n, _ in q.patches] + [max_patch])
-    transient = max_patch + 1
+    transient = 1 + max(
+        (x.last_patch() for x in (p, q) if isinstance(x, Patched)), default=-1
+    )
     both_periodic = isinstance(inner_p, Periodic) and isinstance(inner_q, Periodic)
     if both_periodic:
         # beyond the transient the verdict at shift s depends only on s

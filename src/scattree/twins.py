@@ -486,10 +486,7 @@ def _transient_length(seq) -> int:
     if isinstance(seq, Generated):
         return 0
     if isinstance(seq, Patched):
-        base = _transient_length(seq.inner)
-        if seq.patches:
-            base = max(base, seq.patches[-1][0] + 1)
-        return base
+        return max(_transient_length(seq.inner), seq.last_patch() + 1)
     raise TermError("unknown component sequence")
 
 
@@ -524,12 +521,6 @@ def twin_n(t: Term, n: int, horizon: int = 8) -> Term:
     k = _shift_data(t, horizon)
     top = _transient_length(t.seq) + 1 + 3 * n * k
     return WSum(Patched(t.seq, {j: BOX for j in range(top + 1)}))
-
-
-def twin_prune_top(t: Term, n: int, horizon: int = 8) -> int:
-    """The last pruned spine position used by twin_n."""
-    k = _shift_data(t, horizon)
-    return _transient_length(t.seq) + 1 + 3 * n * k
 
 
 def twin_from_subset(t: Term, positions, horizon: int = 8) -> Term:
@@ -622,7 +613,7 @@ def twins_report(t: Term, n: int = 3, horizon: int = 8) -> dict:
     check = verify_twins(t, family, horizon=max(horizon, 12))
     return {
         "family": family,
-        "prune_tops": [twin_prune_top(t, j, horizon) for j in range(1, n + 1)],
+        "prune_tops": [x.seq.last_patch() for x in family],
         "verified": check["ok"],
         "mutual": check["mutual"],
         "codes_distinct": check["codes_distinct"],

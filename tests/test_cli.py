@@ -92,6 +92,15 @@ def test_parse_error_exits_two(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_stack_exhaustion_exits_four(capsys):
+    # a patch 3000 positions out makes the shift analysis compare stages
+    # thousands of levels deep; running out of stack yields no verdict
+    assert main(["twins", "wsum(patch(gen(box;succ(sup(_*2)));3000:box))"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: RecursionError")
+    assert err.count("\n") == 1
+
+
 def test_strict_mode_flags_undecided(capsys):
     undecided = "wsum(gen(supseq(gen(box;succ(_)));succ(_)))"
     assert main(["analyze", undecided]) == 0
