@@ -9,7 +9,8 @@
 
 TERM is a term expression or a built-in name (box, ray, ex1..ex4); inputs
 starting with "lpath" are labelled paths.  Exit codes: 0 fine, 1 an
-answer stayed undecided under --strict, 2 parse error, 3 oracle failure.
+answer stayed undecided under --strict, 2 parse or usage error, 3 oracle
+failure, 4 out of stack or memory (no verdict).
 """
 
 from __future__ import annotations
@@ -45,6 +46,19 @@ from .twins import (
     twin_n,
     verify_twins,
 )
+
+
+def _int_at_least(low):
+    """An argparse type: an integer no smaller than `low`."""
+
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _is_lpath(text: str) -> bool:
@@ -171,7 +185,7 @@ def main(argv=None) -> int:
 
     def common(p, horizon=False, strict=True, formats=("text", "json")):
         if horizon:
-            p.add_argument("--horizon", type=int, default=8, help="search depth for shift analysis")
+            p.add_argument("--horizon", type=_int_at_least(0), default=8, help="search depth for shift analysis")
         if strict:
             p.add_argument(
                 "--strict",
@@ -197,7 +211,7 @@ def main(argv=None) -> int:
 
     p_tw = sub.add_parser("twins", help="twin cardinality and a verified twin family")
     p_tw.add_argument("term")
-    p_tw.add_argument("--count", type=int, default=3, help="family size to generate")
+    p_tw.add_argument("--count", type=_int_at_least(1), default=3, help="family size to generate")
     p_tw.add_argument("--seed", type=int, help="sample twins from seeded position sets")
     common(p_tw, horizon=True)
     p_tw.set_defaults(func=_cmd_twins)
@@ -205,7 +219,7 @@ def main(argv=None) -> int:
     p_tr = sub.add_parser("truncate", help="depth-bounded finite cut of a term")
     p_tr.add_argument("term")
     p_tr.add_argument("--depth", type=int, required=True)
-    p_tr.add_argument("--width", type=int, default=3, help="copies kept per infinite family")
+    p_tr.add_argument("--width", type=_int_at_least(1), default=3, help="copies kept per infinite family")
     common(p_tr, strict=False, formats=("text", "json", "dot"))
     p_tr.set_defaults(func=_cmd_truncate)
 

@@ -106,32 +106,8 @@ ONE = Ordinal(((ZERO, 1),))
 OMEGA = Ordinal(((ONE, 1),))
 
 
-def cmp(a: Ordinal, b: Ordinal) -> str:
-    if a < b:
-        return "less"
-    if a == b:
-        return "equal"
-    return "greater"
-
-
 def succ(a: Ordinal) -> Ordinal:
     return a.succ()
-
-
-def sup(xs) -> Ordinal:
-    out = ZERO
-    for x in xs:
-        if x > out:
-            out = x
-    return out
-
-
-def is_limit(a: Ordinal) -> bool:
-    return a.is_limit()
-
-
-def is_successor(a: Ordinal) -> bool:
-    return a.is_successor()
 
 
 def format_ordinal(a: Ordinal) -> str:

@@ -284,10 +284,6 @@ def _supseq_summary(seq, memo):
     raise TermError(f"bad sequence {seq!r}")
 
 
-def rank_of_end_space(t: Term) -> Ordinal:
-    return rank_summary(t).space_rank
-
-
 # -- rank witnesses -----------------------------------------------------------
 
 def build_rank_witness(alpha: Ordinal) -> Term:

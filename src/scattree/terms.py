@@ -26,7 +26,7 @@ import json
 import re
 from math import gcd
 
-from .finite_trees import FiniteTree, RootedFiniteTree, rooted_embeds
+from .finite_trees import FiniteTree, RootedFiniteTree
 
 OMEGA_MULT = "w"
 INF = float("inf")
@@ -1237,9 +1237,6 @@ def address_distance(t: Term, a, b) -> int:
 
 # -- embedding ----------------------------------------------------------------
 
-_EMBED_LIMIT = 4000  # max vertices for exact finite expansion
-
-
 def embeds(t: Term, s: Term, horizon: int = 16, _memo=None) -> str:
     """Tri-valued induced-embedding check, root to root; between two wsum
     terms the map is spine to spine with a forward shift (path-aligned).
@@ -1262,20 +1259,15 @@ def _embeds(t, s, horizon, memo):
         return YES
     if is_single_vertex(s):
         return NO
-    vt, vs = vertex_count(t), vertex_count(s)
-    if vt != INF and vs != INF:
-        if vt > vs:
-            return NO
-        if vt <= _EMBED_LIMIT and vs <= _EMBED_LIMIT:
-            return YES if rooted_embeds(expand_finite(t), expand_finite(s)) else NO
-        return UNKNOWN
-    if vt == INF and vs != INF:
+    if vertex_count(t) > vertex_count(s):
         return NO
     if isinstance(t, WSum) and isinstance(s, WSum):
         return _wsum_embeds(t.seq, s.seq, horizon, memo)
     if isinstance(t, SupSeq):
         return UNKNOWN
-    # generic packing of root children
+    # generic packing of root children; exact on finite terms, where a
+    # root-to-root embedding is an injective matching of children into
+    # children they embed in, decided once per pair of subterms by the memo
     dem = root_children(t)
     if dem is None:
         return UNKNOWN
@@ -1296,8 +1288,9 @@ def _embeds(t, s, horizon, memo):
 
 def _pack(demands, capacities, horizon, memo):
     """Can the demand children inject into the capacity children so that each
-    pair embeds?  Tri-valued: NO only when even unknown edges cannot help."""
-    demands = [(a, m) for a, m in demands if not (False)]
+    pair embeds?  Tri-valued: NO only when even unknown edges cannot help.
+    Multiplicities are amounts in a transportation problem, never unit
+    copies, so the work does not grow with them."""
     edges = {}
     for i, (a, _) in enumerate(demands):
         for j, (b, _) in enumerate(capacities):
@@ -1311,46 +1304,60 @@ def _pack(demands, capacities, horizon, memo):
                 for j in range(len(capacities))
             ):
                 return False
-        finite = [(i, m) for i, (a, m) in enumerate(demands) if m != OMEGA_MULT]
-        units = []
-        for i, m in finite:
-            if m > 200:
-                return None
-            units.extend([i] * m)
-        total = len(units)
-        cap_slots = []
-        for j, (b, m) in enumerate(capacities):
-            cap_slots.append(total if m == OMEGA_MULT else min(m, total))
-        # flow by repeated augmenting over capacity slots
-        assigned = [0] * len(capacities)
-        match = {}
-
-        def augment(u, seen):
-            for j in range(len(capacities)):
-                if j in seen or not ok(edges[u, j]):
-                    continue
-                seen.add(j)
-                if assigned[j] < cap_slots[j]:
-                    assigned[j] += 1
-                    match.setdefault(j, []).append(u)
-                    return True
-                for u2 in match.get(j, []):
-                    if augment(u2, seen):
-                        match[j].remove(u2)
-                        match[j].append(u)
-                        return True
-            return False
-
-        for u in units:
-            if not augment(u, set()):
-                return False
+        need = [0 if m == OMEGA_MULT else m for _, m in demands]
+        total = sum(need)
+        spare = [total if m == OMEGA_MULT else m for _, m in capacities]
+        held = [{} for _ in capacities]  # held[j][i]: amount of demand i placed at j
+        for i in range(len(demands)):
+            while need[i]:
+                # augmenting path, demand u -> capacity j -> a demand that j
+                # holds and passes on -> ...; shortest paths (breadth first)
+                # bound the augmentations by the graph, not by the amounts
+                # (Edmonds-Karp)
+                came_from = {}  # capacity -> demand that reached it
+                moved_from = {i: None}  # demand -> capacity it would leave
+                frontier, end = [i], None
+                while frontier and end is None:
+                    reached = []
+                    for u in frontier:
+                        for j in range(len(capacities)):
+                            if j in came_from or not ok(edges[u, j]):
+                                continue
+                            came_from[j] = u
+                            if spare[j]:
+                                end = j
+                                break
+                            for u2 in held[j]:
+                                if u2 not in moved_from:
+                                    moved_from[u2] = j
+                                    reached.append(u2)
+                        if end is not None:
+                            break
+                    frontier = reached
+                if end is None:
+                    return False
+                # move the path's bottleneck amount in one step
+                amount = min(need[i], spare[end])
+                u = came_from[end]
+                while moved_from[u] is not None:
+                    amount = min(amount, held[moved_from[u]][u])
+                    u = came_from[moved_from[u]]
+                need[i] -= amount
+                spare[end] -= amount
+                j = end
+                while j is not None:
+                    u = came_from[j]
+                    held[j][u] = held[j].get(u, 0) + amount
+                    j = moved_from[u]
+                    if j is not None:
+                        held[j][u] -= amount
+                        if not held[j][u]:
+                            del held[j][u]
         return True
 
-    strict = feasible(lambda e: e == YES)
-    if strict:
+    if feasible(lambda e: e == YES):
         return YES
-    relaxed = feasible(lambda e: e in (YES, UNKNOWN))
-    if relaxed is False:
+    if not feasible(lambda e: e != NO):
         return NO
     return UNKNOWN
 
@@ -1463,8 +1470,10 @@ def _tail_embeds(p, q, start, s, horizon, memo):
 
 
 def _stage_embeds(p, i, q, j, horizon, memo):
-    """embeds(p[i], q[j]) with shortcuts for same-generator stages, avoiding
-    huge expansions."""
+    """embeds(p[i], q[j]) with shortcuts for same-generator stages: stages
+    nest as deep as their index, and packing recurses once per term level,
+    so comparing two deep stages directly is slow and can exhaust the
+    Python stack."""
     a, b = stage(p, i), stage(q, j)
     if a == b:
         return YES

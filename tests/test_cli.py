@@ -92,6 +92,27 @@ def test_parse_error_exits_two(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["twins", "ex1", "--count", "-1"], "--count: must be at least 1"),
+        (["twins", "ex1", "--count", "-2", "--seed", "3"], "--count: must be at least 1"),
+        (["twins", "ex1", "--count", "0"], "--count: must be at least 1"),
+        (["truncate", "ex1", "--depth", "2", "--width", "0"], "--width: must be at least 1"),
+        (["analyze", "ex1", "--horizon", "-1"], "--horizon: must be at least 0"),
+        (["twins", "ex1", "--count", "x"], "--count: invalid int value"),
+    ],
+)
+def test_out_of_range_numbers_are_usage_errors(capsys, argv, message):
+    # a usage error exits 2, never 0 with an empty family or 1 (undecided)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_stack_exhaustion_exits_four(capsys):
     # a patch 3000 positions out makes the shift analysis compare stages
     # thousands of levels deep; running out of stack yields no verdict

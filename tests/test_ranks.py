@@ -10,7 +10,6 @@ from scattree.ranks import (
     RankUndecided,
     build_rank_witness,
     lim_member,
-    rank_of_end_space,
     rank_summary,
 )
 from scattree.terms import (
@@ -58,7 +57,7 @@ def test_example_ranks_are_frozen():
 
 
 def test_rank_of_end_space_shortcut():
-    assert rank_of_end_space(builtins()["ex3"]) == parse_ordinal("2")
+    assert rank_summary(builtins()["ex3"]).space_rank == parse_ordinal("2")
 
 
 def test_component_growth_doubles_each_stage():

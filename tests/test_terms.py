@@ -1,7 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scattree.finite_trees import canonical_code, path_tree, star_tree
+from scattree.finite_trees import canonical_code, path_tree, rooted_embeds, star_tree
 from scattree.terms import (
     BOX,
     Context,
@@ -256,6 +258,66 @@ def test_embeds_finite_exact():
     assert embeds(parse_term("succ(succ(box))"), parse_term("succ(box)")) == NO
     assert embeds(parse_term("sup(succ(box)*2)"), parse_term("sup(succ(box)*3)")) == YES
     assert embeds(parse_term("sup(succ(box)*3)"), parse_term("sup(succ(box)*2)")) == NO
+    # the two-vertex paths must leave the first arm of the target to the
+    # three-vertex paths, and only as many as they hold there can move
+    target = parse_term("sup(succ(succ(succ(box)))*3,succ(succ(box))*5)")
+    fits = parse_term("sup(succ(succ(box))*1,succ(succ(succ(box)))*3)")
+    assert embeds(fits, target) == YES
+    assert embeds(parse_term("sup(succ(succ(box))*1,succ(succ(succ(box)))*4)"), target) == NO
+    # large multiplicities are matched as amounts, not as unit copies
+    many, more = parse_term("sup(succ(box)*100000)"), parse_term("sup(succ(box)*100001)")
+    assert embeds(many, more) == YES
+    assert embeds(more, many) == NO
+    # consecutive stages far past any expandable size: ex1's stage n sits
+    # below the root of stage n+1; ex4's root degree drops from 3 to 1 at
+    # stage 1, and that failure is inherited by every later pair
+    for name, verdict in (("ex1", YES), ("ex4", NO)):
+        seq = builtins()[name].seq
+        for n in (11, 12, 40, 200):
+            assert embeds(stage(seq, n), stage(seq, n + 1)) == verdict, (name, n)
+
+
+def _finite_term(rng, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return BOX
+    if rng.random() < 0.4:
+        return Succ(_finite_term(rng, depth - 1))
+    return Sup(
+        tuple((_finite_term(rng, depth - 1), rng.randint(1, 7)) for _ in range(rng.randint(1, 2)))
+    )
+
+
+def _grown(rng, t):
+    """A finite term that contains ``t`` root-to-root: somewhere below the
+    root a multiplicity rises or a sibling is added.  Arms are listed in a
+    new order, so a greedy matching of children would have to undo its
+    first choices."""
+    if isinstance(t, Succ) and rng.random() < 0.7:
+        return Succ(_grown(rng, t.child))
+    if isinstance(t, Sup) and rng.random() < 0.7:
+        arms = list(t.arms)
+        k = rng.randrange(len(arms))
+        a, m = arms[k]
+        arms[k] = (a, m + 1) if rng.random() < 0.5 else (_grown(rng, a), m)
+        return Sup(arms[::-1])
+    return Sup(((_finite_term(rng, 2), rng.randint(1, 3)), (t, 1)))
+
+
+def test_embeds_agrees_with_the_finite_oracle():
+    # on finite terms embeds is exact: it must answer yes or no, and agree
+    # with the matching of the materialised trees
+    rng = random.Random(4)
+    pairs = [(_finite_term(rng, 4), _finite_term(rng, 4)) for _ in range(1000)]
+    for _ in range(500):
+        t = _finite_term(rng, 4)
+        g = _grown(rng, t)
+        pairs += [(t, g), (g, t)]
+    verdicts = set()
+    for t, s in pairs:
+        expected = YES if rooted_embeds(expand_finite(t), expand_finite(s)) else NO
+        assert embeds(t, s) == expected, (format_term(t), format_term(s))
+        verdicts.add(expected)
+    assert verdicts == {YES, NO}
 
 
 def test_embeds_box_everywhere():
