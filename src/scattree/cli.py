@@ -22,7 +22,7 @@ import sys
 
 from .ends import shift_report
 from .finite_trees import canonical_code
-from .oracle import OracleError, run_oracle
+from .oracle import JOBS, OracleError, run_oracle
 from .ranks import RankUndecided, rank_summary
 from .stability import classify, twin_cardinality
 from .terms import (
@@ -228,7 +228,8 @@ def main(argv=None) -> int:
         "which",
         nargs="?",
         default="all",
-        help="counts | prufer | cayley | center | endos | embeds | equimorphy | all",
+        choices=(*JOBS, "all"),
+        help="the oracle to run (default: all)",
     )
     common(p_or)
     p_or.set_defaults(func=_cmd_oracle)

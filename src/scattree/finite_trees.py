@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 
 
 class TreeError(ValueError):
@@ -63,19 +63,20 @@ class FiniteTree:
     def degree(self, v):
         return len(self.adj[v])
 
-    def distance(self, u, v):
-        if u == v:
-            return 0
-        dist = {u: 0}
+    def distances(self, u):
+        """Distances from u to every vertex, by breadth-first search."""
+        dist = [-1] * self.n
+        dist[u] = 0
         queue = [u]
         for x in queue:
             for y in self.adj[x]:
-                if y not in dist:
+                if dist[y] < 0:
                     dist[y] = dist[x] + 1
-                    if y == v:
-                        return dist[y]
                     queue.append(y)
-        raise TreeError("disconnected")
+        return dist
+
+    def distance(self, u, v):
+        return self.distances(u)[v]
 
     def path(self, u, v):
         """Vertex sequence of the unique u-v path."""
@@ -264,56 +265,79 @@ def rooted_embeds(a: RootedFiniteTree, b: RootedFiniteTree, memo=None) -> bool:
 
 # -- automorphisms ------------------------------------------------------------
 
-def _iter_isos(ta, va, pa, tb, vb, pb, codes_a, codes_b):
-    """All isomorphisms of the subtree at va (cut above pa) onto the subtree
-    at vb (cut above pb), sending va to vb, yielded as dicts."""
-    if _subcode(ta, va, pa, codes_a) != _subcode(tb, vb, pb, codes_b):
-        return
-    kids_a = [w for w in ta.adj[va] if w != pa]
-    kids_b = [w for w in tb.adj[vb] if w != pb]
-    groups_a = {}
-    for w in kids_a:
-        groups_a.setdefault(_subcode(ta, w, va, codes_a), []).append(w)
-    groups_b = {}
-    for w in kids_b:
-        groups_b.setdefault(_subcode(tb, w, vb, codes_b), []).append(w)
+def _child_groups(t, v, parent, codes, cache):
+    """The children of v (cut above parent) grouped by subtree code; groups
+    and members in adjacency order."""
+    key = (v, parent)
+    groups = cache.get(key)
+    if groups is None:
+        groups = {}
+        for w in t.adj[v]:
+            if w != parent:
+                groups.setdefault(_subcode(t, w, v, codes), []).append(w)
+        cache[key] = groups
+    return groups
 
-    group_items = []
-    for code, mem_a in groups_a.items():
-        mem_b = groups_b[code]
-        pair_isos = [
-            [
-                list(_iter_isos(ta, w_a, va, tb, w_b, vb, codes_a, codes_b))
-                for w_b in mem_b
-            ]
-            for w_a in mem_a
-        ]
-        group_items.append((len(mem_a), pair_isos))
 
-    def per_group(k, pair_isos):
-        for perm in permutations(range(k)):
-            for combo in product(*(pair_isos[i][perm[i]] for i in range(k))):
-                merged = {}
-                for m in combo:
-                    merged.update(m)
-                yield merged
+def _iter_isos(ta, tb, roots):
+    """Every isomorphism that maps, for each root pair (va, pa, vb, pb), the
+    subtree of ta at va cut above pa onto the subtree of tb at vb cut above
+    pb, sending va to vb.  Yields one list `img` (img[x] is the image of x,
+    None off the subtrees), rewritten in place between yields.
 
-    def assemble(gi):
-        if gi == len(group_items):
-            yield {va: vb}
+    Children of matched vertices are grouped by AHU code; each group is
+    matched by every permutation of its equal-code partners, and under each
+    by every product of isomorphisms of the matched child pairs (a group
+    of leaves, code "()", by the permutation alone).  The open groups form
+    a linked list (group, rest), searched depth-first with one permutation
+    iterator per level, so nothing but `img` and that stack is held however
+    large the group is."""
+    codes_a, groups_a = {}, {}
+    codes_b, groups_b = (codes_a, groups_a) if ta is tb else ({}, {})
+    for va, pa, vb, pb in roots:
+        if _subcode(ta, va, pa, codes_a) != _subcode(tb, vb, pb, codes_b):
             return
-        k, pair_isos = group_items[gi]
-        for head in per_group(k, pair_isos):
-            for rest in assemble(gi + 1):
-                rest.update(head)
-                yield rest
+    img = [None] * ta.n
 
-    yield from assemble(0)
+    def match(va, pa, vb, pb, rest):
+        img[va] = vb
+        kids_a = _child_groups(ta, va, pa, codes_a, groups_a)
+        if kids_a:
+            kids_b = _child_groups(tb, vb, pb, codes_b, groups_b)
+            for code, mem_a in reversed(kids_a.items()):
+                rest = ((va, vb, mem_a, kids_b[code], len(code) == 2), rest)
+        return rest
+
+    todo = None
+    for va, pa, vb, pb in reversed(roots):
+        todo = match(va, pa, vb, pb, todo)
+    if todo is None:
+        yield img
+        return
+    stack = [(permutations(todo[0][3]), todo)]
+    while stack:
+        perms, todo = stack[-1]
+        perm = next(perms, None)
+        if perm is None:
+            stack.pop()
+            continue
+        (va, vb, mem_a, _, leaves), rest = todo
+        if leaves:
+            for w_a, w_b in zip(mem_a, perm):
+                img[w_a] = w_b
+        else:
+            for w_a, w_b in zip(reversed(mem_a), reversed(perm)):
+                rest = match(w_a, va, w_b, vb, rest)
+        if rest is None:
+            yield img
+        else:
+            stack.append((permutations(rest[0][3]), rest))
 
 
 def rooted_isomorphisms(a: RootedFiniteTree, b: RootedFiniteTree):
     """All rooted isomorphisms (a, root) -> (b, root), as dict maps."""
-    yield from _iter_isos(a.tree, a.root, None, b.tree, b.root, None, {}, {})
+    for img in _iter_isos(a.tree, b.tree, [(a.root, None, b.root, None)]):
+        yield dict(enumerate(img))
 
 
 def iter_automorphisms(t: FiniteTree):
@@ -321,18 +345,13 @@ def iter_automorphisms(t: FiniteTree):
     the center (which every automorphism preserves)."""
     kind, c = center(t)
     if kind == "vertex":
-        for m in _iter_isos(t, c, None, t, c, None, {}, {}):
-            yield tuple(m[v] for v in range(t.n))
-        return
-    u, v = c
-    codes = {}
-    for mu in _iter_isos(t, u, v, t, u, v, codes, codes):
-        for mv in _iter_isos(t, v, u, t, v, u, codes, codes):
-            yield tuple({**mu, **mv}[x] for x in range(t.n))
-    if _subcode(t, u, v, codes) == _subcode(t, v, u, codes):
-        for mu in _iter_isos(t, u, v, t, v, u, codes, codes):
-            for mv in _iter_isos(t, v, u, t, u, v, codes, codes):
-                yield tuple({**mu, **mv}[x] for x in range(t.n))
+        anchors = [[(c, None, c, None)]]
+    else:
+        u, v = c
+        anchors = [[(u, v, u, v), (v, u, v, u)], [(u, v, v, u), (v, u, u, v)]]
+    for roots in anchors:
+        for img in _iter_isos(t, t, roots):
+            yield tuple(img)
 
 
 def automorphisms(t: FiniteTree, bound: int = 12):
@@ -342,13 +361,22 @@ def automorphisms(t: FiniteTree, bound: int = 12):
     return list(iter_automorphisms(t))
 
 
+def _automorphism_test(t: FiniteTree):
+    """`is_automorphism` on t, with t's edges read once."""
+    identity = list(range(t.n))
+    edges = t.edges()
+    arcs = set(edges) | {(v, u) for u, v in edges}
+
+    def test(sigma):
+        return sorted(sigma) == identity and all(
+            (sigma[u], sigma[v]) in arcs for u, v in edges
+        )
+
+    return test
+
+
 def is_automorphism(t: FiniteTree, sigma) -> bool:
-    if sorted(sigma) != list(range(t.n)):
-        return False
-    edges = set(t.edges())
-    return all(
-        (min(sigma[u], sigma[v]), max(sigma[u], sigma[v])) in edges for u, v in edges
-    )
+    return _automorphism_test(t)(sigma)
 
 
 @dataclass(frozen=True)
@@ -357,24 +385,34 @@ class EndoClassification:
     evidence: object
 
 
+def automorphism_classifier(t: FiniteTree):
+    """`classify_automorphism` on t, as a function of sigma alone: the
+    distance table and the edge set are built once."""
+    preserves = _automorphism_test(t)
+    dist = [t.distances(x) for x in range(t.n)]
+
+    def classify(sigma) -> EndoClassification:
+        if not preserves(sigma):
+            raise TreeError("not an automorphism")
+        moved = [row[s] for row, s in zip(dist, sigma)]
+        best_m = min(moved)
+        best = moved.index(best_m)
+        if best_m == 0:
+            return EndoClassification("rotation", ("vertex", best))
+        p = t.path(best, sigma[best])
+        if best_m % 2 == 1:
+            u, v = p[best_m // 2], p[best_m // 2 + 1]
+            if sigma[u] == v and sigma[v] == u:
+                return EndoClassification("inversion", ("edge", (min(u, v), max(u, v))))
+        return EndoClassification("translation", ("path", tuple(p)))
+
+    return classify
+
+
 def classify_automorphism(t: FiniteTree, sigma) -> EndoClassification:
     """Minimize displacement m = d(x, sigma(x)).  m = 0 is a rotation about a
     fixed vertex.  Otherwise minimality forces m odd with the middle edge of
     the x..sigma(x) path reversed (an inversion); an even minimum would mean a
     translation along an infinite axis, impossible on finite trees but kept as
     an honest outcome for the oracle to count."""
-    if not is_automorphism(t, sigma):
-        raise TreeError("not an automorphism")
-    best, best_m = 0, t.n + 1
-    for x in range(t.n):
-        m = t.distance(x, sigma[x])
-        if m < best_m:
-            best, best_m = x, m
-    if best_m == 0:
-        return EndoClassification("rotation", ("vertex", best))
-    p = t.path(best, sigma[best])
-    if best_m % 2 == 1:
-        u, v = p[best_m // 2], p[best_m // 2 + 1]
-        if sigma[u] == v and sigma[v] == u:
-            return EndoClassification("inversion", ("edge", (min(u, v), max(u, v))))
-    return EndoClassification("translation", ("path", tuple(p)))
+    return automorphism_classifier(t)(sigma)

@@ -6,6 +6,13 @@ sequences and the Cayley count, automorphisms are enumerated by naive
 backtracking, and embeddings by brute-force injection search.  The test
 suite compares engine verdicts against these oracles and freezes the
 classical counts.
+
+Both automorphism searches stream: the naive backtracker here and the
+center-anchored enumerator of `finite_trees` each rewrite one image list
+in place and hand out one permutation at a time, and every sweep checks
+each permutation as it comes.  No group is held whole, so the sweeps run
+in memory independent of the group order (K(1,9) alone has 362880
+automorphisms).
 """
 
 from __future__ import annotations
@@ -18,9 +25,9 @@ from .finite_trees import (
     FiniteTree,
     RootedFiniteTree,
     TreeError,
+    automorphism_classifier,
     canonical_code,
     center,
-    classify_automorphism,
     iter_automorphisms,
     rooted_embeds,
     unrooted_code,
@@ -172,51 +179,56 @@ def cayley_identity(n: int) -> dict:
 
 
 def naive_automorphisms(t: FiniteTree):
-    """All automorphisms by backtracking over a BFS order, independent of
-    the center-anchored streaming enumerator."""
-    order, parent = [0], {0: None}
+    """Stream all automorphisms as vertex permutation tuples, by
+    backtracking over a BFS order, independent of the center-anchored
+    streaming enumerator."""
+    n = t.n
+    order, parent = [0], [None] * n
+    seen = [False] * n
+    seen[0] = True
     for v in order:
         for w in t.adj[v]:
-            if w not in parent:
+            if not seen[w]:
+                seen[w] = True
                 parent[w] = v
                 order.append(w)
     deg = [len(a) for a in t.adj]
-    out = []
-    image = {}
-    used = set()
-
-    def place(i):
-        if i == len(order):
-            out.append(tuple(image[v] for v in range(t.n)))
-            return
+    image = [None] * n
+    used = [False] * n
+    # cands[i] iterates the candidate images of order[i]: any vertex for
+    # the root, the neighbours of its parent's image otherwise
+    cands = [iter(range(n))] + [None] * (n - 1)
+    i = 0
+    while i >= 0:
         v = order[i]
-        cands = range(t.n) if parent[v] is None else t.adj[image[parent[v]]]
-        for c in cands:
-            if c in used or deg[c] != deg[v]:
-                continue
-            image[v] = c
-            used.add(c)
-            place(i + 1)
-            used.discard(c)
-        image.pop(v, None)
-
-    place(0)
-    return out
+        for c in cands[i]:
+            if not used[c] and deg[c] == deg[v]:
+                break
+        else:
+            i -= 1
+            if i >= 0:
+                used[image[order[i]]] = False
+            continue
+        image[v] = c
+        if i + 1 == n:
+            yield tuple(image)
+            continue
+        used[c] = True
+        i += 1
+        cands[i] = iter(t.adj[image[parent[order[i]]]])
 
 
 def center_fixed_check(max_n: int = 10) -> dict:
     """Every automorphism of every tree up to max_n vertices fixes the
     central vertex, or fixes-or-swaps the central edge.  Automorphisms come
-    from the naive backtracker, so this also cross-checks the streaming
-    enumerator's group order."""
+    from the naive backtracker, each checked as it is produced, so this
+    also cross-checks the streaming enumerator's group order."""
     trees = autos = 0
     for n in range(1, max_n + 1):
         for t in free_trees(n):
-            group = naive_automorphisms(t)
-            if len(group) != automorphism_count(t):
-                raise OracleError(f"automorphism group sizes disagree on {t.to_json()}")
             kind, c = center(t)
-            for sigma in group:
+            size = 0
+            for sigma in naive_automorphisms(t):
                 if kind == "vertex":
                     if sigma[c] != c:
                         raise OracleError(f"center vertex moved by {sigma} on {t.to_json()}")
@@ -224,7 +236,10 @@ def center_fixed_check(max_n: int = 10) -> dict:
                     u, v = c
                     if {sigma[u], sigma[v]} != {u, v}:
                         raise OracleError(f"center edge moved by {sigma} on {t.to_json()}")
-                autos += 1
+                size += 1
+            if size != automorphism_count(t):
+                raise OracleError(f"automorphism group sizes disagree on {t.to_json()}")
+            autos += size
             trees += 1
     return {"trees": trees, "automorphisms": autos, "ok": True}
 
@@ -236,8 +251,9 @@ def endo_classification_sweep(max_n: int = 9) -> dict:
     counts = {"rotation": 0, "inversion": 0, "translation": 0}
     for n in range(1, max_n + 1):
         for t in free_trees(n):
+            classify = automorphism_classifier(t)
             for sigma in iter_automorphisms(t):
-                kind = classify_automorphism(t, sigma).variant
+                kind = classify(sigma).variant
                 counts[kind] = counts.get(kind, 0) + 1
     if counts["translation"]:
         raise OracleError("a finite tree produced a translation")
@@ -327,19 +343,22 @@ def equimorphy_is_isomorphy(max_n: int = 7) -> dict:
 # -- runner --------------------------------------------------------------------
 
 
+# the oracle jobs by name, as `scattree oracle WHICH` runs them
+JOBS = {
+    "counts": lambda: check_tree_counts(),
+    "prufer": lambda: {str(n): prufer_cross_check(n) for n in range(3, 9)},
+    "cayley": lambda: {str(n): cayley_identity(n) for n in (9, 10)},
+    "center": lambda: center_fixed_check(),
+    "endos": lambda: endo_classification_sweep(),
+    "embeds": lambda: embed_cross_check(),
+    "equimorphy": lambda: equimorphy_is_isomorphy(),
+}
+
+
 def run_oracle(which: str = "all") -> dict:
     """Run one oracle (by name) or all of them; returns a report dict."""
-    jobs = {
-        "counts": lambda: check_tree_counts(),
-        "prufer": lambda: {str(n): prufer_cross_check(n) for n in range(3, 9)},
-        "cayley": lambda: {str(n): cayley_identity(n) for n in (9, 10)},
-        "center": lambda: center_fixed_check(),
-        "endos": lambda: endo_classification_sweep(),
-        "embeds": lambda: embed_cross_check(),
-        "equimorphy": lambda: equimorphy_is_isomorphy(),
-    }
-    if which != "all":
-        if which not in jobs:
-            raise OracleError(f"unknown oracle {which!r}; choose from {sorted(jobs)}")
-        return {which: jobs[which]()}
-    return {name: job() for name, job in jobs.items()}
+    if which == "all":
+        return {name: job() for name, job in JOBS.items()}
+    if which not in JOBS:
+        raise OracleError(f"unknown oracle {which!r}; choose from {sorted(JOBS)}")
+    return {which: JOBS[which]()}

@@ -113,6 +113,14 @@ def test_out_of_range_numbers_are_usage_errors(capsys, argv, message):
     assert captured.out == ""
 
 
+def test_unknown_oracle_is_a_usage_error(capsys):
+    # exit 3 is reserved for an oracle check that failed
+    with pytest.raises(SystemExit) as exit_info:
+        main(["oracle", "nonsense"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'nonsense'" in capsys.readouterr().err
+
+
 def test_stack_exhaustion_exits_four(capsys):
     # a patch 3000 positions out makes the shift analysis compare stages
     # thousands of levels deep; running out of stack yields no verdict

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -114,7 +116,18 @@ def test_classification_rotation_inversion():
 def test_rooted_isomorphisms_count():
     s = star_tree(3)
     root = RootedFiniteTree(s, 0)
-    assert sum(1 for _ in rooted_isomorphisms(root, root)) == 6
+    maps = list(rooted_isomorphisms(root, root))
+    assert len(maps) == 6
+    assert {tuple(m[v] for v in range(4)) for m in maps} == {
+        (0,) + p for p in permutations((1, 2, 3))
+    }
+    # onto a relabelled copy, rooted at the image of the root
+    other = RootedFiniteTree(FiniteTree(4, ((3, 0), (3, 1), (3, 2))), 3)
+    onto = list(rooted_isomorphisms(root, other))
+    assert len(onto) == 6
+    assert {tuple(m[v] for v in range(4)) for m in onto} == {
+        (3,) + p for p in permutations((0, 1, 2))
+    }
 
 
 # random trees via random attachment (a Prüfer-free construction)

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from scattree.finite_trees import (
     FiniteTree,
     RootedFiniteTree,
-    automorphisms,
     canonical_code,
+    is_automorphism,
+    iter_automorphisms,
     path_tree,
     rooted_embeds,
     star_tree,
@@ -79,8 +82,12 @@ def test_cayley_identity_holds_at_nine():
 # -- independent automorphism search -----------------------------------------------
 
 def test_naive_search_agrees_with_group_enumerator():
-    for t in (path_tree(5), star_tree(4), path_tree(6)):
-        assert len(naive_automorphisms(t)) == len(automorphisms(t))
+    for n in range(1, 9):
+        for t in free_trees(n):
+            streamed = list(iter_automorphisms(t))
+            assert len(set(streamed)) == len(streamed)
+            assert all(is_automorphism(t, sigma) for sigma in streamed)
+            assert set(naive_automorphisms(t)) == set(streamed)
 
 
 def test_automorphism_count_of_star():
@@ -90,6 +97,19 @@ def test_automorphism_count_of_star():
 def test_center_fixed_by_all_automorphisms():
     report = center_fixed_check(8)
     assert report == {"trees": 48, "automorphisms": 6355, "ok": True}
+
+
+def test_center_check_streams_the_groups():
+    # the check holds no group as a list: K(1,9) alone has 362880
+    # automorphisms, about 50 MB as tuples
+    tracemalloc.start()
+    try:
+        report = center_fixed_check(10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report == {"trees": 201, "automorphisms": 422224, "ok": True}
+    assert peak < 10 * 2**20
 
 
 def test_endo_classification_has_no_translations():
