@@ -9,21 +9,11 @@ k.  An eventual period holds only from some offset u on.  A term is almost
 rigid (path-aligned) when no strict period exists: no spine-aligned
 self-embedding moves the spine.
 
-Every period question is one walk, `_holds_from(seq, u, k)`: does the pair
-check hold between component n and component n+k for every n >= u?  The
-check is one-way embedding for shift periods and embedding both ways for
-the origin's equimorphy period.  The walk reads a finite window:
-
-* periodic: the pairs n = u .. u + len(prefix) + len(cycle); later pairs
-  repeat these;
-* patched: the pairs from u up to the last patch plus k, then the inner
-  sequence from there on;
-* generated: the pair at min(u, 4), whose yes carries to every later pair
-  because the context preserves embeddings; failing that, the pair at u,
-  the only one whose no refutes.
-
-A strict period is the walk from 0, an eventual period the least offset u
-from which it holds.
+Every period question is one walk, `terms.shift_walk(seq, seq, k)`: does
+component n embed in component n+k for every n >= u (both ways for the
+origin's equimorphy period)?  One in-order pass per k gives both answers:
+the strict verdict is the walk from 0, and the eventual offset is one past
+the last pair that is not yes, when the tail holds.
 
 Regularity asks whether the components fall into finitely many equimorphy
 classes.  Certificates:
@@ -56,15 +46,13 @@ from .terms import (
     TermError,
     WSum,
     branch_count,
-    embeds,
     equimorphic,
-    height,
+    growth_certificate,
     is_single_vertex,
     root_degree,
+    shift_walk,
     spine_address,
     stage,
-    tri_and,
-    vertex_count,
 )
 
 
@@ -109,42 +97,6 @@ class ShiftReport:
         )
 
 
-# A verified pair of generated stages at or below this position carries
-# forward through the context, so the walk tries it before the pair at u.
-_EARLY_STAGE = 4
-
-
-def _one_way(a, b, memo) -> str:
-    return embeds(a, b, _memo=memo)
-
-
-def _both_ways(a, b, memo) -> str:
-    return tri_and(embeds(a, b, _memo=memo), embeds(b, a, _memo=memo))
-
-
-def _holds_from(seq, u, k, memo, rel=_one_way) -> str:
-    """Does rel(component n, component n+k) hold for every n >= u?"""
-
-    def pair(n):
-        return rel(stage(seq, n), stage(seq, n + k), memo)
-
-    if isinstance(seq, Periodic):
-        return tri_and(*(pair(n) for n in range(u, u + len(seq.prefix) + len(seq.cycle) + 1)))
-    if isinstance(seq, Generated):
-        # the context preserves rel, so a pair holding at v <= u holds at
-        # every n >= v; only the pair at u itself refutes
-        v = min(u, _EARLY_STAGE)
-        verdict = pair(v)
-        return verdict if verdict == YES or v == u else pair(u)
-    if isinstance(seq, Patched):
-        tail = max(seq.last_patch() + k + 1, u)
-        head = tri_and(*(pair(n) for n in range(u, tail)))
-        if head == NO:
-            return NO
-        return tri_and(head, _holds_from(seq.inner, tail, k, memo, rel))
-    raise TermError(f"bad sequence {seq!r}")
-
-
 def regular_components(seq) -> tuple[str, str]:
     """(verdict, reason): do the components fall into finitely many
     equimorphy classes?"""
@@ -157,23 +109,16 @@ def regular_components(seq) -> tuple[str, str]:
         for p in range(1, 4):
             if equimorphic(stage(seq, 0), stage(seq, p)) == YES:
                 return YES, f"stage 0 equimorphic to stage {p}; classes cycle"
-        growth = _growth_certificate(seq)
+        growth = growth_certificate(seq) or _branch_growth(seq)
         if growth:
             return NO, growth
         return UNKNOWN, "no equimorphy cycle or growth certificate found"
     raise TermError(f"bad sequence {seq!r}")
 
 
-def _growth_certificate(seq: Generated):
-    """A reason string when stages are certifiably pairwise non-equimorphic."""
-    v = [vertex_count(stage(seq, j)) for j in range(2)]
-    if INF not in v and v[1] > v[0]:
-        return "stage vertex counts grow strictly (affine recurrence)"
-    hd = seq.context.hole_depth()
-    if hd >= 1:
-        h = [height(stage(seq, j)) for j in range(3)]
-        if INF not in h and h[1] == hd + h[0] and h[2] == hd + h[1]:
-            return "stage heights grow strictly (hole at positive depth)"
+def _branch_growth(seq: Generated):
+    """A reason string when branch counts certify pairwise non-equimorphic
+    stages."""
     if seq.context.hole_under_sup_branch():
         b = [branch_count(stage(seq, j)) for j in range(5)]
         if (
@@ -191,10 +136,12 @@ def _almost_rigid(seq, periods_yes, periods_unknown, horizon):
         return NO
     if periods_unknown:
         return UNKNOWN
-    if isinstance(seq.inner if isinstance(seq, Patched) else seq, Periodic):
+    inner = seq.inner if isinstance(seq, Patched) else seq
+    if isinstance(inner, Periodic):
         # past the prefix and the overrides the verdict for k repeats that
-        # of k mod cycle, so a horizon past the offset bound is exhaustive
-        return YES if horizon >= _offset_bound(seq, horizon) else UNKNOWN
+        # of k mod cycle, so a horizon past this bound is exhaustive
+        bound = seq.last_patch() + 1 + len(inner.prefix) + 2 * len(inner.cycle)
+        return YES if horizon >= bound else UNKNOWN
     if isinstance(seq, Generated) and seq.context.hole_depth() >= 1:
         # stage 0 cannot embed into any later stage when its root degree
         # exceeds the fixed root degree of all later stages
@@ -211,39 +158,27 @@ def shift_report(t: Term, horizon: int = 8) -> ShiftReport:
     seq = t.seq
     memo = {}
     notes = []
-    u_max = _offset_bound(seq, horizon)
+    reach = max(4, horizon // 2)  # how far past the transient a generated tail is scanned
     yes, unk, eventual = [], [], {}
     for k in range(1, horizon + 1):
-        # the strict verdict is the walk from 0; eventual[k] is the least
-        # offset u <= u_max from which the walk holds
-        strict = _holds_from(seq, 0, k, memo)
+        strict, u = shift_walk(seq, seq, k, memo=memo, reach=reach)
         if strict == YES:
             yes.append(k)
         elif strict == UNKNOWN:
             unk.append(k)
-        for u in range(u_max + 1):
-            if (strict if u == 0 else _holds_from(seq, u, k, memo)) == YES:
-                eventual[k] = u
-                break
+        if u is not None:
+            eventual[k] = u
     if unk:
         notes.append(f"strict periods undecided at {unk}")
     d = yes[0] if yes else None
     rigid = _almost_rigid(seq, yes, unk, horizon)
     regular, reason = regular_components(seq)
     notes.append(f"regular: {reason}")
-    origin_index, origin_error = _origin(seq, regular, eventual, memo, u_max)
+    origin_index, origin_error = _origin(seq, regular, eventual, memo, reach)
     return ShiftReport(yes, d, eventual, rigid, regular, origin_index, origin_error, notes)
 
 
-def _offset_bound(seq, horizon):
-    if isinstance(seq, Periodic):
-        return len(seq.prefix) + 2 * len(seq.cycle)
-    if isinstance(seq, Patched):
-        return seq.last_patch() + 1 + _offset_bound(seq.inner, horizon)
-    return max(4, horizon // 2)
-
-
-def _origin(seq, regular, eventual, memo, u_max):
+def _origin(seq, regular, eventual, memo, reach):
     """Least spine index u from which the component sequence is equimorphy
     periodic: component y equimorphic to component y+d for all y >= u."""
     if regular == NO:
@@ -253,9 +188,9 @@ def _origin(seq, regular, eventual, memo, u_max):
     if not eventual:
         return None, "no eventual period found within the horizon"
     for d in sorted(eventual):
-        for u in range(u_max + 1):
-            if _holds_from(seq, u, d, memo, _both_ways) == YES:
-                return u, None
+        u = shift_walk(seq, seq, d, memo=memo, both_ways=True, reach=reach)[1]
+        if u is not None:
+            return u, None
     return None, "no equimorphy period found within the horizon"
 
 

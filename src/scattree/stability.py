@@ -31,11 +31,9 @@ from .terms import (
     NO,
     UNKNOWN,
     YES,
-    Generated,
-    Patched,
-    Periodic,
     Term,
     WSum,
+    component_terms,
     is_rayless,
     is_single_vertex,
     expand_finite,
@@ -167,25 +165,17 @@ def twin_cardinality(t: Term, horizon: int = 8, summary: RankSummary = None, rep
 
 
 def _bare_path(seq) -> bool:
-    if isinstance(seq, Periodic):
-        return all(is_single_vertex(x) for x in seq.prefix + seq.cycle)
-    if isinstance(seq, Patched):
-        return _bare_path(seq.inner) and all(is_single_vertex(x) for _, x in seq.patches)
-    if isinstance(seq, Generated):
-        return all(is_single_vertex(stage(seq, j)) for j in range(3)) and is_single_vertex(
-            seq.context.subst(stage(seq, 0))
-        )
-    return False
+    fixed, gen = component_terms(seq)
+    return all(is_single_vertex(x) for x in fixed) and (
+        gen is None
+        or all(is_single_vertex(stage(gen, j)) for j in range(3))
+        and is_single_vertex(gen.context.subst(stage(gen, 0)))
+    )
 
 
 def _all_components_finite(seq) -> bool:
-    if isinstance(seq, Periodic):
-        return all(vertex_count(x) != INF for x in seq.prefix + seq.cycle)
-    if isinstance(seq, Patched):
-        return _all_components_finite(seq.inner) and all(
-            vertex_count(x) != INF for _, x in seq.patches
-        )
-    if isinstance(seq, Generated):
-        # an affine recurrence keeps finite sizes finite
-        return vertex_count(stage(seq, 0)) != INF and vertex_count(stage(seq, 1)) != INF
-    return False
+    fixed, gen = component_terms(seq)
+    # an affine recurrence keeps finite sizes finite
+    return all(vertex_count(x) != INF for x in fixed) and (
+        gen is None or vertex_count(stage(gen, 0)) != INF and vertex_count(stage(gen, 1)) != INF
+    )

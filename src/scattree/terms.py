@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import re
-from math import gcd
+from math import lcm
 
 from .finite_trees import FiniteTree, RootedFiniteTree
 
@@ -177,6 +177,10 @@ class ComponentSeq:
     def __repr__(self):
         return format_seq(self)
 
+    def last_patch(self):
+        """The last patched position, or -1 when nothing is patched."""
+        return -1
+
 
 class Periodic(ComponentSeq):
     __slots__ = ("prefix", "cycle")
@@ -234,7 +238,6 @@ class Patched(ComponentSeq):
         return self._map.get(n)
 
     def last_patch(self):
-        """The last patched position, or -1 when nothing is patched."""
         return self.patches[-1][0] if self.patches else -1
 
 
@@ -649,14 +652,30 @@ def is_single_vertex(t: Term) -> bool:
     return False
 
 
-def _seq_all_single(seq) -> bool:
+def component_terms(seq):
+    """The components of a sequence as (terms, generated): the finitely many
+    terms that occur (prefix entries no patch overrides, the cycle and the
+    patches), and the generated sequence that supplies the rest, or None.
+    A generated sequence is read whole, patched positions included."""
     if isinstance(seq, Periodic):
-        return all(is_single_vertex(t) for t in seq.prefix + seq.cycle)
+        return seq.prefix + seq.cycle, None
     if isinstance(seq, Generated):
-        return is_single_vertex(seq.base) and is_single_vertex(seq.context.subst(BOX))
+        return (), seq
     if isinstance(seq, Patched):
-        return _seq_all_single(seq.inner) and all(is_single_vertex(t) for _, t in seq.patches)
+        patches = tuple(t for _, t in seq.patches)
+        inner = seq.inner
+        if isinstance(inner, Generated):
+            return patches, inner
+        kept = tuple(t for n, t in enumerate(inner.prefix) if seq.patch_at(n) is None)
+        return kept + inner.cycle + patches, None
     raise TermError(f"bad sequence {seq!r}")
+
+
+def _seq_all_single(seq) -> bool:
+    fixed, gen = component_terms(seq)
+    return all(is_single_vertex(t) for t in fixed) and (
+        gen is None or is_single_vertex(gen.base) and is_single_vertex(gen.context.subst(BOX))
+    )
 
 
 def is_rayless(t: Term) -> bool:
@@ -676,13 +695,10 @@ def is_rayless(t: Term) -> bool:
 
 
 def _seq_rayless(seq) -> bool:
-    if isinstance(seq, Periodic):
-        return all(is_rayless(t) for t in seq.prefix + seq.cycle)
-    if isinstance(seq, Generated):
-        return is_rayless(seq.base) and is_rayless(seq.context.subst(BOX))
-    if isinstance(seq, Patched):
-        return _seq_rayless(seq.inner) and all(is_rayless(t) for _, t in seq.patches)
-    raise TermError(f"bad sequence {seq!r}")
+    fixed, gen = component_terms(seq)
+    return all(is_rayless(t) for t in fixed) and (
+        gen is None or is_rayless(gen.base) and is_rayless(gen.context.subst(BOX))
+    )
 
 
 def vertex_count(t: Term):
@@ -1238,9 +1254,14 @@ def address_distance(t: Term, a, b) -> int:
 # -- embedding ----------------------------------------------------------------
 
 def embeds(t: Term, s: Term, horizon: int = 16, _memo=None) -> str:
-    """Tri-valued induced-embedding check, root to root; between two wsum
-    terms the map is spine to spine with a forward shift (path-aligned).
-    yes and no answers are sound; unknown marks the analysis horizon."""
+    """Tri-valued induced-embedding check, root to root.  yes and no answers
+    are sound; unknown marks the analysis horizon.
+
+    Between two wsum terms the check is the shift relation instead
+    (`shift_walk`): spine to spine, component n into component n + s, and
+    any forward shift s >= 0 is accepted, although s > 0 moves the root.
+    Making this pair strictly root to root is still open (ROADMAP item 1).
+    """
     if _memo is None:
         _memo = {}
     key = (t, s)
@@ -1365,31 +1386,6 @@ def _pack(demands, capacities, horizon, memo):
 def _wsum_embeds(p, q, horizon, memo):
     if p == q:
         return YES
-    if isinstance(p, Periodic) and isinstance(q, Periodic):
-        L = _lcm(len(p.cycle), len(q.cycle))
-        s_max = len(q.prefix) + L
-        n_check = max(len(p.prefix), len(q.prefix)) + L
-        any_unknown = False
-        for s in range(s_max + 1):
-            verdict = tri_and(
-                *(embeds(stage(p, n), stage(q, n + s), horizon, memo) for n in range(n_check + 1))
-            )
-            if verdict == YES:
-                return YES
-            if verdict == UNKNOWN:
-                any_unknown = True
-        return UNKNOWN if any_unknown else NO
-    if (
-        isinstance(p, Generated)
-        and isinstance(q, Generated)
-        and p.context == q.context
-    ):
-        # monotone rule: base embedding into stage s propagates along the
-        # context, giving every component a shift-s target
-        for s in range(horizon + 1):
-            if embeds(p.base, stage(q, s), horizon, memo) == YES:
-                return YES
-        return UNKNOWN
     if isinstance(p, Periodic) and isinstance(q, Generated):
         # if q's stages form an increasing chain and every component of p
         # lands somewhere in it, a large enough shift works
@@ -1408,65 +1404,108 @@ def _wsum_embeds(p, q, horizon, memo):
         if v0 != INF and v1 != INF and v1 > v0 and INF not in caps:
             return NO
         return UNKNOWN
-    if isinstance(p, Patched) or isinstance(q, Patched):
-        return _patched_wsum_embeds(p, q, horizon, memo)
-    return UNKNOWN
-
-
-def _patched_wsum_embeds(p, q, horizon, memo):
-    inner_p = p.inner if isinstance(p, Patched) else p
-    inner_q = q.inner if isinstance(q, Patched) else q
-    transient = 1 + max(
-        (x.last_patch() for x in (p, q) if isinstance(x, Patched)), default=-1
-    )
-    both_periodic = isinstance(inner_p, Periodic) and isinstance(inner_q, Periodic)
-    if both_periodic:
-        # beyond the transient the verdict at shift s depends only on s
-        # modulo the cycle alignment, so a finite shift range is exhaustive
-        L = _lcm(len(inner_p.cycle), len(inner_q.cycle))
-        s_max = transient + len(inner_q.prefix) + L
+    inner_p, inner_q = _inner(p), _inner(q)
+    periodic = isinstance(inner_p, Periodic) and isinstance(inner_q, Periodic)
+    if periodic:
+        # past the transient the verdict at shift s depends only on s modulo
+        # the cycle alignment, so a finite shift range is exhaustive
+        cycle = lcm(len(inner_p.cycle), len(inner_q.cycle))
+        s_max = _transient(p, q) + len(inner_q.prefix) + cycle
     else:
         s_max = horizon
     saw_unknown = False
     for s in range(s_max + 1):
-        head = tri_and(
-            *(
-                _stage_embeds(p, n, q, n + s, horizon, memo)
-                for n in range(transient + 1)
-            )
-        )
-        if head == NO:
-            continue
-        # tail: beyond every patch both sides are their inner sequences
-        tail = _tail_embeds(inner_p, inner_q, transient + 1, s, horizon, memo)
-        verdict = tri_and(head, tail)
+        verdict = shift_walk(p, q, s, horizon, memo)[0]
         if verdict == YES:
             return YES
-        if verdict == UNKNOWN:
-            saw_unknown = True
-    if both_periodic and not saw_unknown:
+        saw_unknown = saw_unknown or verdict == UNKNOWN
+    if periodic and not saw_unknown:
         return NO
     return UNKNOWN  # shifts beyond the horizon stay open
 
 
-def _tail_embeds(p, q, start, s, horizon, memo):
-    """Do components p[n] embed in q[n+s] for all n >= start?"""
-    if isinstance(p, Periodic) and isinstance(q, Periodic):
-        L = _lcm(len(p.cycle), len(q.cycle))
-        n_check = max(len(p.prefix), len(q.prefix)) + L
-        return tri_and(
-            *(
-                embeds(stage(p, n), stage(q, n + s), horizon, memo)
-                for n in range(start, start + n_check + 1)
-            )
-        )
-    if isinstance(p, Generated) and isinstance(q, Generated) and p.context == q.context:
-        # p[n] into q[n+s] for all n follows from p[0] into q[s] by applying
-        # the context n times
-        if embeds(stage(p, 0), stage(q, s), horizon, memo) == YES:
-            return YES
-        return UNKNOWN
-    return UNKNOWN
+# A generated tail pair at or below this position is tried first: its yes
+# carries forward through the context, and it stays shallow however deep
+# the last patch sits.
+_EARLY_STAGE = 4
+
+
+def shift_walk(p, q, s, horizon=16, memo=None, both_ways=False, reach=None):
+    """The shift relation: does component p[n] embed in component q[n + s]
+    for every n >= u?  With `both_ways` each pair must embed both ways
+    (equimorphy).  The walk reads a finite window:
+
+    * the transient T: the last patch on either side, plus 1;
+    * the head: the pairs n < T, each through `_stage_embeds`;
+    * the tail, where both sides are their inner sequences:
+      - periodic: the max(prefix) + lcm(cycles) pairs from T; later pairs
+        repeat these;
+      - generated with one context: the pair at min(T, 4), whose yes
+        carries to every later pair because the context preserves
+        embeddings; failing that, the pair at T, the only one whose no
+        refutes;
+      - anything else: unknown.
+
+    Returns (verdict, u): the verdict for u = 0, and the least offset u
+    from which the relation holds, one past the last pair read that is not
+    yes, or None when none is found.  Without `reach` the walk stops at the
+    first no, with u None.  With it the walk reads every head pair, and a
+    generated tail that fails at T is scanned up to `reach` pairs further
+    for a pair that holds.
+    """
+    if memo is None:
+        memo = {}
+    inner_p, inner_q = _inner(p), _inner(q)
+    start = _transient(p, q)
+    periodic = isinstance(inner_p, Periodic) and isinstance(inner_q, Periodic)
+    if periodic:
+        cycle = lcm(len(inner_p.cycle), len(inner_q.cycle))
+        end = start + max(len(inner_p.prefix), len(inner_q.prefix)) + cycle
+    elif (
+        isinstance(inner_p, Generated)
+        and isinstance(inner_q, Generated)
+        and inner_p.context == inner_q.context
+    ):
+        end = start
+    else:
+        return UNKNOWN, None
+
+    def holds(a, n, b):
+        verdict = _stage_embeds(a, n, b, n + s, horizon, memo)
+        if both_ways and verdict != NO:
+            verdict = tri_and(verdict, _stage_embeds(b, n + s, a, n, horizon, memo))
+        return verdict
+
+    verdict, last = YES, -1  # last: the last pair read that is not yes
+    for n in range(end):
+        pair = holds(p, n, q)
+        if pair != YES:
+            if pair == NO and reach is None:
+                return NO, None
+            verdict, last = tri_and(verdict, pair), n
+    if periodic:
+        return verdict, (last + 1 if last < end - cycle else None)
+    early = min(start, _EARLY_STAGE)
+    tail = holds(inner_p, early, inner_q)
+    if tail != YES and early < start:
+        tail = holds(p, start, q)
+    verdict = tri_and(verdict, tail)
+    if tail == YES:
+        return verdict, last + 1
+    for n in range(start + 1, start + (reach or 0) + 1):
+        if holds(p, n, q) == YES:
+            return verdict, n
+    return verdict, None
+
+
+def _inner(seq):
+    """The sequence under the patches."""
+    return seq.inner if isinstance(seq, Patched) else seq
+
+
+def _transient(p, q):
+    """The first position past every patch of p and q."""
+    return 1 + max(p.last_patch(), q.last_patch())
 
 
 def _stage_embeds(p, i, q, j, horizon, memo):
@@ -1477,8 +1516,7 @@ def _stage_embeds(p, i, q, j, horizon, memo):
     a, b = stage(p, i), stage(q, j)
     if a == b:
         return YES
-    gp = p.inner if isinstance(p, Patched) else p
-    gq = q.inner if isinstance(q, Patched) else q
+    gp, gq = _inner(p), _inner(q)
     if (
         isinstance(gp, Generated)
         and isinstance(gq, Generated)
@@ -1493,10 +1531,8 @@ def _stage_embeds(p, i, q, j, horizon, memo):
             if ii < jj:
                 if embeds(gp.base, stage(gq, jj - ii), horizon, memo) == YES:
                     return YES
-            else:
-                obstruction = _stage_strictly_growing(gp)
-                if obstruction:
-                    return NO
+            elif growth_certificate(gp):
+                return NO
     return embeds(a, b, horizon, memo)
 
 
@@ -1514,26 +1550,23 @@ def _effective_stage_index(seq, n):
     return n
 
 
-def _stage_strictly_growing(gen: Generated):
-    """Sound certificate that stage m never embeds into stage n for m > n:
-    an embedding-monotone measure strictly increases along all stages."""
+def growth_certificate(gen: Generated):
+    """Why stage m never embeds in stage n < m, as a reason string, or None:
+    an embedding-monotone measure strictly increases along all stages, so
+    the stages are also pairwise non-equimorphic."""
     v0, v1 = vertex_count(stage(gen, 0)), vertex_count(stage(gen, 1))
-    if v0 != INF and v1 != INF:
+    if INF not in (v0, v1) and v1 > v0:
         # |C[t]| is affine in |t| with slope >= 1, so one strict step
         # propagates forever
-        return v1 > v0
+        return "stage vertex counts grow strictly (affine recurrence)"
     hd = gen.context.hole_depth()
     if hd >= 1:
         h0, h1, h2 = (height(stage(gen, j)) for j in range(3))
         if INF not in (h0, h1, h2) and h1 == hd + h0 and h2 == hd + h1:
             # height(C[t]) = max(hd + height(t), c); once the hole branch
             # dominates it dominates forever and adds hd >= 1 each stage
-            return True
-    return False
-
-
-def _lcm(a, b):
-    return a * b // gcd(a, b)
+            return "stage heights grow strictly (hole at positive depth)"
+    return None
 
 
 def equimorphic(t: Term, s: Term, horizon: int = 16) -> str:

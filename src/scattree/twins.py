@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import re
-from math import gcd
+from math import lcm
 
 from .terms import (
     BOX,
@@ -164,18 +164,14 @@ def same_labelling(p: LabelledPath, q: LabelledPath) -> bool:
     if p.kind != q.kind:
         return False
     if p.kind == "oneway":
-        c = _lcm(len(p.cycle), len(q.cycle))
+        c = lcm(len(p.cycle), len(q.cycle))
         hi = max(len(p.prefix), len(q.prefix)) + c
         return all(p.label(n) == q.label(n) for n in range(hi))
-    cl = _lcm(len(p.left), len(q.left))
-    cr = _lcm(len(p.right), len(q.right))
+    cl = lcm(len(p.left), len(q.left))
+    cr = lcm(len(p.right), len(q.right))
     hi = max(len(p.center), len(q.center)) + cr
     lo = cl
     return all(p.label(n) == q.label(n) for n in range(-lo, hi))
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 _LPATH_TOKENS = re.compile(r"\s*([A-Za-z0-9_]+|[{}()\[\],<])")
@@ -367,7 +363,7 @@ def displacements(p: LabelledPath):
         vals = [r for r in range(1, window + 1) if shift_feasible(p, r)]
         infinite = any(r >= len(p.prefix) for r in vals)
         return {"values": vals, "window": window, "infinite": infinite}
-    period = _lcm(len(p.left), len(p.right))
+    period = lcm(len(p.left), len(p.right))
     threshold = len(p.center) + len(p.left) + len(p.right) + 2
     window = threshold + period
     vals = [d for d in range(-window, window + 1) if d != 0 and shift_feasible(p, d)]

@@ -122,12 +122,17 @@ def test_unknown_oracle_is_a_usage_error(capsys):
 
 
 def test_stack_exhaustion_exits_four(capsys):
-    # a patch 3000 positions out makes the shift analysis compare stages
-    # thousands of levels deep; running out of stack yields no verdict
-    assert main(["twins", "wsum(patch(gen(box;succ(sup(_*2)));3000:box))"]) == 4
+    # the rank computation recurses once per succ level; running out of
+    # stack yields no verdict
+    assert main(["rank", "succ(" * 1500 + "box" + ")" * 1500]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: RecursionError")
     assert err.count("\n") == 1
+
+
+def test_deep_patch_twins_need_no_deep_recursion(capsys):
+    assert main(["twins", "wsum(patch(gen(box;succ(sup(_*2)));3000:box))"]) == 0
+    assert "cardinality" in capsys.readouterr().out
 
 
 def test_strict_mode_flags_undecided(capsys):

@@ -79,6 +79,14 @@ def test_patched_ray_recovers_shifts():
     assert r.origin_index == 1
 
 
+def test_deep_patch_gets_linear_offsets():
+    # the patch at 3000 is stage 0, so the pair n -> n + k fails exactly at
+    # n = 3000 - k and holds from 3001 - k on
+    r = shift_report(parse_term("wsum(patch(gen(box;succ(sup(_*2)));3000:box))"))
+    assert r.periods == ()
+    assert r.eventual == {k: 3001 - k for k in range(1, 9)}
+
+
 def test_shift_report_needs_a_spined_sum():
     with pytest.raises(TermError):
         shift_report(parse_term("succ(box)"))

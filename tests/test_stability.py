@@ -101,6 +101,17 @@ def test_bare_path_is_its_only_twin():
     assert verdict == ONE
 
 
+def test_patched_away_prefix_entries_are_not_components():
+    # position 0 is patched to a single vertex, so this is the bare ray
+    verdict, reason = twin_cardinality(parse_term("wsum(patch([succ(box)](box);0:box))"))
+    assert verdict == ONE
+    assert "bare one-way path" in reason
+    # the only infinite entry is patched away: every component is finite
+    verdict, reason = twin_cardinality(parse_term("wsum(patch([sup(wsum([](box)))](box);0:succ(box)))"))
+    assert verdict == ONE
+    assert "finite components" in reason
+
+
 def test_cardinality_matches_certificate():
     b = builtins()
     for name in ("ray", "ex1", "ex2", "ex3", "ex4"):

@@ -27,6 +27,7 @@ from scattree.terms import (
     format_term,
     height,
     is_rayless,
+    is_single_vertex,
     join_address,
     level,
     parse_term,
@@ -164,6 +165,13 @@ def test_rayless_detection():
     # a union of ever-longer finite paths glued at the root has no infinite ray
     assert is_rayless(parse_term("supseq(gen(box;succ(_)))"))
     assert not is_rayless(parse_term("sup(wsum([](box))*2)"))
+
+
+def test_patched_away_prefix_entries_are_not_read():
+    assert is_single_vertex(parse_term("supseq(patch([succ(box)](box);0:box))"))
+    assert is_rayless(parse_term("supseq(patch([wsum([](box))](box);0:box))"))
+    # a cycle entry recurs past every patch
+    assert not is_single_vertex(parse_term("supseq(patch([](succ(box));0:box))"))
 
 
 # -- truncation ------------------------------------------------------------------
