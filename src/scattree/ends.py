@@ -33,6 +33,8 @@ guess.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
+from types import MappingProxyType
 
 from .terms import (
     NO,
@@ -45,6 +47,7 @@ from .terms import (
     Term,
     TermError,
     WSum,
+    analysis_cache,
     branch_count,
     equimorphic,
     growth_certificate,
@@ -60,27 +63,20 @@ class OriginUndefined(TermError):
     pass
 
 
+@dataclass(frozen=True, slots=True)
 class ShiftReport:
-    __slots__ = (
-        "periods",
-        "d",
-        "eventual",
-        "almost_rigid",
-        "regular",
-        "origin_index",
-        "origin_error",
-        "notes",
-    )
+    """Result of `shift_report`, read-only: one report is shared by every
+    caller that asks about the same term object and horizon.  `eventual`
+    maps a shift k to the offset from which it holds."""
 
-    def __init__(self, periods, d, eventual, almost_rigid, regular, origin_index, origin_error, notes):
-        self.periods = tuple(periods)
-        self.d = d
-        self.eventual = dict(eventual)
-        self.almost_rigid = almost_rigid
-        self.regular = regular
-        self.origin_index = origin_index
-        self.origin_error = origin_error
-        self.notes = tuple(notes)
+    periods: tuple
+    d: int | None
+    eventual: MappingProxyType
+    almost_rigid: str
+    regular: str
+    origin_index: int | None
+    origin_error: str | None
+    notes: tuple
 
     def to_json(self) -> str:
         return json.dumps(
@@ -153,9 +149,20 @@ def _almost_rigid(seq, periods_yes, periods_unknown, horizon):
 
 
 def shift_report(t: Term, horizon: int = 8) -> ShiftReport:
+    """Shift analysis of a spined sum over the shifts 1..horizon.  The
+    report is cached on the term object per horizon (`analysis_cache`) and
+    shared by every caller, so it must not be mutated: its containers are
+    read-only."""
     if not isinstance(t, WSum):
         raise TermError("shift analysis needs a spined sum at the root")
-    seq = t.seq
+    cache = analysis_cache(t)
+    key = ("shift", horizon)
+    if key not in cache:
+        cache[key] = _shift_report(t.seq, horizon)
+    return cache[key]
+
+
+def _shift_report(seq, horizon):
     memo = {}
     notes = []
     reach = max(4, horizon // 2)  # how far past the transient a generated tail is scanned
@@ -175,7 +182,9 @@ def shift_report(t: Term, horizon: int = 8) -> ShiftReport:
     regular, reason = regular_components(seq)
     notes.append(f"regular: {reason}")
     origin_index, origin_error = _origin(seq, regular, eventual, memo, reach)
-    return ShiftReport(yes, d, eventual, rigid, regular, origin_index, origin_error, notes)
+    return ShiftReport(
+        tuple(yes), d, MappingProxyType(eventual), rigid, regular, origin_index, origin_error, tuple(notes)
+    )
 
 
 def _origin(seq, regular, eventual, memo, reach):

@@ -20,6 +20,7 @@ and extrapolated; sequences that do not fit raise RankUndecided.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
 from .ordinals import ONE, ZERO, Ordinal, format_ordinal, succ as ord_succ
 from .terms import (
@@ -40,6 +41,7 @@ from .terms import (
     Term,
     TermError,
     WSum,
+    analysis_cache,
     is_rayless,
     resolve,
     stage,
@@ -52,26 +54,17 @@ class RankUndecided(TermError):
     pass
 
 
+@dataclass(frozen=True, slots=True)
 class RankSummary:
     """space_rank: least Cantor-Bendixson derivative that is empty.
     top_ends: how many ends sit at the last nonempty level (0, 1, 2, many).
     limit_flag: the rank is a limit realized only cofinally, never by an
-    end at a top level."""
+    end at a top level.  Read-only: a top-level summary is shared by every
+    caller that asks about the same term object."""
 
-    __slots__ = ("space_rank", "top_ends", "limit_flag")
-
-    def __init__(self, space_rank: Ordinal, top_ends, limit_flag: bool):
-        self.space_rank = space_rank
-        self.top_ends = top_ends
-        self.limit_flag = limit_flag
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RankSummary)
-            and self.space_rank == other.space_rank
-            and self.top_ends == other.top_ends
-            and self.limit_flag == other.limit_flag
-        )
+    space_rank: Ordinal
+    top_ends: int | str
+    limit_flag: bool
 
     def __repr__(self):
         return (
@@ -121,8 +114,14 @@ def _union(parts):
 
 
 def rank_summary(t: Term, _memo=None) -> RankSummary:
+    """Rank summary of the end space of t.  A top-level call caches the
+    summary on the term object (`analysis_cache`), so repeated calls on one
+    object share one result."""
     if _memo is None:
-        _memo = {}
+        cache = analysis_cache(t)
+        if "rank" not in cache:
+            cache["rank"] = _rank_summary(t, {})
+        return cache["rank"]
     if t in _memo:
         return _memo[t]
     out = _rank_summary(t, _memo)

@@ -25,7 +25,7 @@ import json
 
 from .finite_trees import center
 from .ordinals import format_ordinal
-from .ranks import RankSummary, rank_summary
+from .ranks import rank_summary
 from .terms import (
     INF,
     NO,
@@ -98,12 +98,12 @@ def classify(t: Term, horizon: int = 8) -> StabilityCertificate:
             notes,
         )
     summary = rank_summary(t)
+    twins, reason = twin_cardinality(t, horizon)
     if summary.limit_flag or summary.top_ends in (0, "many"):
         notes.append(
             "top rank is realized cofinally or by many ends: self-embeddings "
             "preserve a rayless core"
         )
-        twins, reason = twin_cardinality(t, horizon, summary)
         rank_fields = {
             "rank": format_ordinal(summary.space_rank),
             "top_ends": summary.top_ends,
@@ -112,7 +112,6 @@ def classify(t: Term, horizon: int = 8) -> StabilityCertificate:
         return StabilityCertificate(VARIANT_CORE, rank_fields, twins, reason, notes)
     if summary.top_ends == 2:
         notes.append("the two ends of maximal rank form a preserved pair")
-        twins, reason = twin_cardinality(t, horizon, summary)
         return StabilityCertificate(VARIANT_TWO, {}, twins, reason, notes)
     # exactly one end of maximal rank
     fields = {}
@@ -125,26 +124,26 @@ def classify(t: Term, horizon: int = 8) -> StabilityCertificate:
         notes.append(
             "unique end of maximal rank: every self-embedding maps its ray forward"
         )
-        twins, reason = twin_cardinality(t, horizon, summary, report)
     else:
         notes.append("unique end of maximal rank inside a non-spined term")
-        twins, reason = twin_cardinality(t, horizon, summary)
     return StabilityCertificate(VARIANT_UEF, fields, twins, reason, notes)
 
 
-def twin_cardinality(t: Term, horizon: int = 8, summary: RankSummary = None, report=None):
+def twin_cardinality(t: Term, horizon: int = 8):
     """(cardinality, reason) for the number of pairwise non-isomorphic trees
-    equimorphic to t.  Rules are tried in order; the first match wins."""
+    equimorphic to t.  Rules are tried in order; the first match wins.
+
+    The rules read the shift report that `shift_report(t, horizon)` caches
+    on the term object, so asking again about the same object, directly or
+    through `classify` or the twin constructions, recomputes nothing.  The
+    report is shared: do not mutate it."""
     from .ends import shift_report
 
     if is_rayless(t) and vertex_count(t) != INF:
         return ONE, "finite trees are isomorphic to their twins"
     if not isinstance(t, WSum):
         return UNKNOWN, "twin counting needs a spined sum at the root"
-    if summary is None:
-        summary = rank_summary(t)
-    if report is None:
-        report = shift_report(t, horizon)
+    report = shift_report(t, horizon)
     if report.regular == NO and report.almost_rigid == NO:
         return (
             CONTINUUM,

@@ -80,7 +80,9 @@ def _same_structure(a, b) -> bool:
 
 
 class Term:
-    __slots__ = ("_hash",)
+    # _analyses: whole-term analysis results of this object, created on
+    # first use by analysis_cache
+    __slots__ = ("_hash", "_analyses")
 
     def __eq__(self, other):
         if self is other:
@@ -157,6 +159,18 @@ class SupSeq(Term):
 
     def _key(self):
         return (self.seq,)
+
+
+def analysis_cache(t: Term) -> dict:
+    """The table of whole-term analysis results stored on this term object
+    (its rank summary, its shift report per horizon), filled on first use.
+    It lives and dies with the object, so equal terms built separately never
+    share an entry.  Cached results are shared by every caller: read-only."""
+    try:
+        return t._analyses
+    except AttributeError:
+        t._analyses = {}
+        return t._analyses
 
 
 # -- component sequences ------------------------------------------------------
@@ -717,7 +731,9 @@ def vertex_count(t: Term):
                 return INF
             total += m * below
         return total
-    if isinstance(t, (WSum, SupSeq)):
+    if isinstance(t, SupSeq):
+        return 1 if _seq_all_single(t.seq) else INF
+    if isinstance(t, WSum):
         return INF
     raise TermError(f"bad term {t!r}")
 
@@ -734,30 +750,18 @@ def height(t: Term):
     if isinstance(t, WSum):
         return INF
     if isinstance(t, SupSeq):
-        seq = t.seq
-        if isinstance(seq, Periodic):
-            return max(height(x) for x in seq.prefix + seq.cycle)
-        if isinstance(seq, Generated):
-            hd = seq.context.hole_depth()
-            if _hole_in_cycle(seq.context.shape):
+        fixed, gen = component_terms(t.seq)
+        hs = [height(x) for x in fixed]
+        if gen is not None:
+            if gen.context.hole_depth() != 0 or _hole_in_cycle(gen.context.shape):
                 return INF
-            h0 = height(seq.base)
-            if h0 == INF:
+            # with the hole at the root a stage is as high as the one before
+            # or the rest of the context, so heights settle after one step
+            stages = [height(stage(gen, i)) for i in range(4)]
+            if not stages[1] == stages[2] == stages[3]:
                 return INF
-            if hd == 0:
-                hs = [height(stage(seq, i)) for i in range(4)]
-                if INF in hs:
-                    return INF
-                if hs[1] == hs[2] == hs[3]:
-                    return hs[3]
-                return INF
-            return INF
-        if isinstance(seq, Patched):
-            hin = height(SupSeq(seq.inner))
-            hp = max((height(x) for _, x in seq.patches), default=0)
-            if hin == INF or hp == INF:
-                return INF
-            return max(hin, hp)
+            hs += stages
+        return max(hs)
     raise TermError(f"bad term {t!r}")
 
 

@@ -495,7 +495,7 @@ def _shift_data(t: Term, horizon: int):
     report = shift_report(t, horizon)
     if not report.periods:
         raise TermError("twin generation needs a strict shift period")
-    card, why = twin_cardinality(t, horizon, report=report)
+    card, why = twin_cardinality(t, horizon)
     if card == "one":
         raise TermError(f"this tree is its only twin: {why}")
     return report.periods[0]

@@ -32,6 +32,13 @@ def test_finite_path_even_order_pins_an_edge():
     assert c.fields["center"]["kind"] == "edge"
 
 
+def test_supseq_of_single_vertices_is_a_finite_tree():
+    c = classify(parse_term("supseq([](box))"))
+    assert c.variant == VARIANT_FIXED
+    assert c.fields["center"] == {"kind": "vertex", "at": 0}
+    assert c.twins == ONE
+
+
 def test_infinite_rayless_tree_keeps_fixed_structure():
     c = classify(parse_term("sup(succ(box)*w)"))
     assert c.variant == VARIANT_RAYLESS_INF

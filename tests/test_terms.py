@@ -174,6 +174,23 @@ def test_patched_away_prefix_entries_are_not_read():
     assert not is_single_vertex(parse_term("supseq(patch([](succ(box));0:box))"))
 
 
+def test_supseq_of_single_vertices_is_one_vertex():
+    t = parse_term("supseq([](box))")
+    assert vertex_count(t) == 1 and height(t) == 0
+    assert expand_finite(t).tree.n == 1
+    # as a sup arm it adds nothing, even repeated omega times
+    assert vertex_count(parse_term("sup(succ(box),supseq([](box))*w)")) == 2
+    assert vertex_count(parse_term("supseq(patch([succ(box)](box);0:box))")) == 1
+    assert vertex_count(parse_term("supseq([](succ(box)))")) == INF
+
+
+def test_height_skips_patched_away_prefix_entries():
+    assert height(parse_term("supseq(patch([succ(succ(box))](box);0:box))")) == 0
+    assert height(parse_term("supseq(patch([succ(succ(box))](box);1:box))")) == 2
+    assert height(parse_term("supseq(patch([](box);3:succ(box)))")) == 1
+    assert height(parse_term("supseq(patch(gen(box;sup(_,succ(box)));0:succ(succ(box))))")) == 2
+
+
 # -- truncation ------------------------------------------------------------------
 
 def test_truncate_finite_term_is_exact():
