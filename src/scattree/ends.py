@@ -13,7 +13,11 @@ Every period question is one walk, `terms.shift_walk(seq, seq, k)`: does
 component n embed in component n+k for every n >= u (both ways for the
 origin's equimorphy period)?  One in-order pass per k gives both answers:
 the strict verdict is the walk from 0, and the eventual offset is one past
-the last pair that is not yes, when the tail holds.
+the last pair that is not yes, when the tail holds.  Over a periodic inner
+sequence the pass reads only the pairs at prefix entries and patches, and
+one cycle window past the last patch: every other pair is a pair of cycle
+members that the window reads again.  So a patch at position 10^8 costs
+what a patch at position 10 does.
 
 Regularity asks whether the components fall into finitely many equimorphy
 classes.  Certificates:

@@ -687,9 +687,12 @@ def component_terms(seq):
 
 def _seq_all_single(seq) -> bool:
     fixed, gen = component_terms(seq)
-    return all(is_single_vertex(t) for t in fixed) and (
-        gen is None or is_single_vertex(gen.base) and is_single_vertex(gen.context.subst(BOX))
-    )
+    return all(is_single_vertex(t) for t in fixed) and _gen_single(gen)
+
+
+def _gen_single(gen) -> bool:
+    """Is every stage of the generated sequence (or of None) a single vertex?"""
+    return gen is None or is_single_vertex(gen.base) and is_single_vertex(gen.context.subst(BOX))
 
 
 def is_rayless(t: Term) -> bool:
@@ -732,7 +735,14 @@ def vertex_count(t: Term):
             total += m * below
         return total
     if isinstance(t, SupSeq):
-        return 1 if _seq_all_single(t.seq) else INF
+        # finite when the components that repeat (the cycle, a generated
+        # tail) are single vertices; the finitely many others hang below
+        fixed, gen = component_terms(t.seq)
+        inner = _inner(t.seq)
+        cycle = inner.cycle if isinstance(inner, Periodic) else ()
+        if not (all(is_single_vertex(c) for c in cycle) and _gen_single(gen)):
+            return INF
+        return 1 + sum(vertex_count(c) - 1 for c in fixed)
     if isinstance(t, WSum):
         return INF
     raise TermError(f"bad term {t!r}")
@@ -1103,8 +1113,22 @@ def expand_finite(t: Term) -> RootedFiniteTree:
     h = height(t)
     if h == INF or vertex_count(t) == INF:
         raise TermError("term is infinite")
-    tr = truncate(t, int(h))
+    tr = truncate(_finite_form(t), int(h))
     return tr.rooted
+
+
+def _finite_form(t: Term) -> Term:
+    """A finite term with each supseq replaced by the sup of its components
+    that are not single vertices, finitely many: the same tree, which a cut
+    then copies whole however late a patch puts them in the sequence."""
+    if isinstance(t, Succ):
+        return Succ(_finite_form(t.child))
+    if isinstance(t, Sup):
+        return Sup([(_finite_form(a), m) for a, m in t.arms])
+    if isinstance(t, SupSeq):
+        fixed, _ = component_terms(t.seq)
+        return Sup([(_finite_form(c), 1) for c in fixed if not is_single_vertex(c)] or [(BOX, 1)])
+    return t
 
 
 def truncation_dot(tr: Truncation) -> str:
@@ -1437,18 +1461,22 @@ _EARLY_STAGE = 4
 def shift_walk(p, q, s, horizon=16, memo=None, both_ways=False, reach=None):
     """The shift relation: does component p[n] embed in component q[n + s]
     for every n >= u?  With `both_ways` each pair must embed both ways
-    (equimorphy).  The walk reads a finite window:
+    (equimorphy).  The walk reads a finite window, in position order, each
+    pair through `_stage_embeds`.  T is the transient, the last patch on
+    either side plus 1; past it both sides are their inner sequences.
 
-    * the transient T: the last patch on either side, plus 1;
-    * the head: the pairs n < T, each through `_stage_embeds`;
-    * the tail, where both sides are their inner sequences:
-      - periodic: the max(prefix) + lcm(cycles) pairs from T; later pairs
-        repeat these;
-      - generated with one context: the pair at min(T, 4), whose yes
-        carries to every later pair because the context preserves
-        embeddings; failing that, the pair at T, the only one whose no
-        refutes;
-      - anything else: unknown.
+    * Periodic inner sequences: the pairs n < E = T + max(prefix) + L,
+      L = lcm(cycles); later pairs repeat the last L of these.  Of the
+      head, only the marked pairs are read: those where p[n] or q[n + s]
+      is a prefix entry or a patch.  Every other pair is a pair of cycle
+      members fixed by n mod L, which the last window [E - L, E) reads
+      again, so skipping it changes neither the verdict nor u, and the
+      work grows with the patches and the period, not with T.
+    * Generated inner sequences with one context: every pair n < T, then
+      the pair at min(T, 4), whose yes carries to every later pair because
+      the context preserves embeddings; failing that, the pair at T, the
+      only one whose no refutes.
+    * Anything else: unknown.
 
     Returns (verdict, u): the verdict for u = 0, and the least offset u
     from which the relation holds, one past the last pair read that is not
@@ -1480,8 +1508,18 @@ def shift_walk(p, q, s, horizon=16, memo=None, both_ways=False, reach=None):
             verdict = tri_and(verdict, _stage_embeds(b, n + s, a, n, horizon, memo))
         return verdict
 
+    head = range(end)
+    if periodic and start > cycle:
+        # a pair away from the prefixes and the patches is a pair of cycle
+        # members fixed by n mod cycle, so the last window reads it again;
+        # most heads are shorter than a cycle and skip nothing, so they are
+        # read whole without building this list
+        marked = set(range(max(len(inner_p.prefix), len(inner_q.prefix) - s)))
+        marked.update(n for n, _ in _patches(p))
+        marked.update(n - s for n, _ in _patches(q) if n >= s)
+        head = [*sorted(marked), *range(end - cycle, end)]
     verdict, last = YES, -1  # last: the last pair read that is not yes
-    for n in range(end):
+    for n in head:
         pair = holds(p, n, q)
         if pair != YES:
             if pair == NO and reach is None:
@@ -1505,6 +1543,11 @@ def shift_walk(p, q, s, horizon=16, memo=None, both_ways=False, reach=None):
 def _inner(seq):
     """The sequence under the patches."""
     return seq.inner if isinstance(seq, Patched) else seq
+
+
+def _patches(seq):
+    """The (position, term) overrides of seq, in position order."""
+    return seq.patches if isinstance(seq, Patched) else ()
 
 
 def _transient(p, q):

@@ -5,12 +5,20 @@ whose components are small finite trees, and a shift s.  Every component
 expands exactly, so each pair p[n] -> q[n + s] can be decided by the
 finite oracle `rooted_embeds`.  The walk reads a window of T + max(prefix)
 + lcm(cycles) pairs; the expansion checks three times as many.
+
+Of the head the walk reads only the marked pairs, where a side is a prefix
+entry or a patch, and the last cycle window.  A dense reference that reads
+every pair in order checks that this changes no answer, and a call count
+checks that patches far out cost no more than near ones.
 """
 
 import random
 from math import lcm
 
+from scattree import ends, terms
+from scattree.ends import shift_report
 from scattree.finite_trees import rooted_embeds
+from scattree.stability import classify
 from scattree.terms import (
     BOX,
     NO,
@@ -19,13 +27,18 @@ from scattree.terms import (
     Periodic,
     Succ,
     Sup,
+    embeds,
     expand_finite,
     format_seq,
+    parse_term,
     shift_walk,
     stage,
+    tri_and,
 )
 
 PAIRS = 600
+DENSE_PAIRS = 500
+PAIRS_PER_WALK = 24
 
 
 def finite_term(rng, depth):
@@ -39,29 +52,64 @@ def finite_term(rng, depth):
     return Sup(arms)
 
 
-def finite_seq(rng):
-    """A periodic sequence of finite terms, patched at up to two positions
-    half of the time.  Components come from a small pool, so that pairs
-    embed often enough for both verdicts to occur."""
+def finite_seq(rng, last=12, patches=(1, 2), chance=0.5, max_prefix=2):
+    """A periodic sequence of finite terms with up to `max_prefix` prefix
+    entries, patched with the given chance at a number of positions up to
+    `last` drawn from `patches`.  Components come from a small pool, so
+    that pairs embed often enough for both verdicts to occur."""
     pool = [finite_term(rng, 3) for _ in range(3)]
-    prefix = [rng.choice(pool) for _ in range(rng.randint(0, 2))]
+    prefix = [rng.choice(pool) for _ in range(rng.randint(0, max_prefix))]
     cycle = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
     seq = Periodic(prefix, cycle)
-    if rng.random() < 0.5:
-        patches = {rng.randint(0, 5): rng.choice(pool) for _ in range(rng.randint(1, 2))}
-        seq = Patched(seq, patches)
+    if rng.random() < chance:
+        marks = {rng.randint(0, last): rng.choice(pool) for _ in range(rng.randint(*patches))}
+        seq = Patched(seq, marks)
     return seq
 
 
+def inner(seq):
+    return seq.inner if isinstance(seq, Patched) else seq
+
+
+def cycle_of(p, q):
+    return lcm(len(inner(p).cycle), len(inner(q).cycle))
+
+
 def window(p, q):
-    inner_p = p.inner if isinstance(p, Patched) else p
-    inner_q = q.inner if isinstance(q, Patched) else q
     return (
         1
         + max(p.last_patch(), q.last_patch())
-        + max(len(inner_p.prefix), len(inner_q.prefix))
-        + lcm(len(inner_p.cycle), len(inner_q.cycle))
+        + max(len(inner(p).prefix), len(inner(q).prefix))
+        + cycle_of(p, q)
     )
+
+
+def plain_run(p, q, s):
+    """The longest run of head pairs n < window - cycle where neither
+    p[n] nor q[n + s] is a prefix entry or a patch."""
+    def marked(seq, n):
+        return n < len(inner(seq).prefix) or isinstance(seq, Patched) and seq.patch_at(n) is not None
+
+    best = run = 0
+    for n in range(window(p, q) - cycle_of(p, q)):
+        run = 0 if marked(p, n) or marked(q, n + s) else run + 1
+        best = max(best, run)
+    return best
+
+
+def dense_walk(p, q, s, both_ways=False, reach=None):
+    """The reference: every pair below the window end, in order."""
+    memo, end = {}, window(p, q)
+    verdict, last = YES, -1
+    for n in range(end):
+        pair = terms._stage_embeds(p, n, q, n + s, 16, memo)
+        if both_ways and pair != NO:
+            pair = tri_and(pair, terms._stage_embeds(q, n + s, p, n, 16, memo))
+        if pair != YES:
+            if pair == NO and reach is None:
+                return NO, None
+            verdict, last = tri_and(verdict, pair), n
+    return verdict, (last + 1 if last < end - cycle_of(p, q) else None)
 
 
 def test_walk_matches_the_finite_oracle():
@@ -74,8 +122,10 @@ def test_walk_matches_the_finite_oracle():
         return expanded[t]
 
     seen = {YES: 0, NO: 0}
+    sparse = 0  # pairs whose head has a plain run the walk skips
     for _ in range(PAIRS):
         p, q, s = finite_seq(rng), finite_seq(rng), rng.randint(0, 4)
+        sparse += plain_run(p, q, s) > cycle_of(p, q)
         reach = 3 * window(p, q)
         fails = [
             n
@@ -96,3 +146,66 @@ def test_walk_matches_the_finite_oracle():
         else:
             assert u is None, where
     assert min(seen.values()) >= PAIRS // 10, seen
+    assert sparse >= PAIRS // 3, sparse
+
+
+def test_sparse_head_matches_the_dense_walk():
+    rng = random.Random(5)
+    sparse = 0
+    for _ in range(DENSE_PAIRS):
+        p, q = (finite_seq(rng, last=200, patches=(1, 3), chance=0.8, max_prefix=8) for _ in "pq")
+        s = rng.randint(0, 8)
+        sparse += plain_run(p, q, s) > cycle_of(p, q)
+        where = f"{format_seq(p)} -> {format_seq(q)} at shift {s}"
+        assert shift_walk(p, q, s) == dense_walk(p, q, s), where
+        assert shift_walk(p, q, s, reach=0) == dense_walk(p, q, s, reach=0), where
+        assert shift_walk(p, q, s, both_ways=True, reach=0) == dense_walk(
+            p, q, s, both_ways=True, reach=0
+        ), where
+    assert sparse >= DENSE_PAIRS // 2, sparse
+
+
+class PairBudget:
+    """Counts the walks and the pairs they read, and fails as soon as the
+    pairs exceed PAIRS_PER_WALK per walk started, so a head that reads every
+    position fails at once instead of running for hours."""
+
+    def __init__(self, monkeypatch):
+        self.walks = self.pairs = 0
+        walk, pair = terms.shift_walk, terms._stage_embeds
+
+        def counted_walk(*args, **kwargs):
+            self.walks += 1
+            return walk(*args, **kwargs)
+
+        def counted_pair(*args):
+            self.pairs += 1
+            assert self.pairs <= PAIRS_PER_WALK * self.walks, (self.pairs, self.walks)
+            return pair(*args)
+
+        monkeypatch.setattr(terms, "shift_walk", counted_walk)
+        monkeypatch.setattr(ends, "shift_walk", counted_walk)
+        monkeypatch.setattr(terms, "_stage_embeds", counted_pair)
+
+
+def test_far_patches_cost_bounded_work(monkeypatch):
+    budget = PairBudget(monkeypatch)
+    far = 99999999
+    t = parse_term(f"wsum(patch([](box);{far}:box))")
+    report = shift_report(t)
+    assert report.periods == tuple(range(1, 9))
+    assert dict(report.eventual) == {k: 0 for k in range(1, 9)}
+    assert classify(t).twins == "one"
+
+    t = parse_term(f"wsum(patch([](box);{far}:succ(box)))")
+    report = shift_report(t)
+    assert report.periods == ()
+    assert dict(report.eventual) == {k: far + 1 for k in range(1, 9)}
+    assert report.origin_index == far + 1
+    assert classify(t).variant == "unique_end_forward"
+    assert budget.walks > 0
+
+    late = parse_term("wsum(patch([](box);3000:succ(box)))")
+    early = parse_term("wsum(patch([](box);1500:succ(box)))")
+    assert embeds(late, early) == NO
+    assert embeds(early, late) == YES

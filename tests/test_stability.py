@@ -39,6 +39,13 @@ def test_supseq_of_single_vertices_is_a_finite_tree():
     assert c.twins == ONE
 
 
+def test_supseq_with_one_late_larger_component_is_a_finite_tree():
+    c = classify(parse_term("supseq(patch([](box);3:succ(box)))"))
+    assert c.variant == VARIANT_FIXED
+    assert c.fields["center"] == {"kind": "edge", "at": [0, 1]}
+    assert c.twins == ONE
+
+
 def test_infinite_rayless_tree_keeps_fixed_structure():
     c = classify(parse_term("sup(succ(box)*w)"))
     assert c.variant == VARIANT_RAYLESS_INF

@@ -184,6 +184,26 @@ def test_supseq_of_single_vertices_is_one_vertex():
     assert vertex_count(parse_term("supseq([](succ(box)))")) == INF
 
 
+def test_supseq_with_finitely_many_larger_components_is_finite():
+    # single vertices everywhere but at finitely many positions: the root
+    # with those components hung below it
+    late = parse_term("supseq(patch([](box);3:succ(box)))")
+    assert vertex_count(late) == 2
+    assert expand_finite(late).tree.n == 2
+    # the same tree as succ(box), so a vertex count may not refute it
+    assert embeds(late, parse_term("succ(box)")) != NO
+    assert embeds(parse_term("succ(succ(box))"), late) == NO
+    t = parse_term("supseq(patch(gen(box;sup(_,box));2:succ(succ(box)),5:sup(succ(box)*2)))")
+    assert vertex_count(t) == 5
+    tree = expand_finite(t).tree
+    assert sorted(tree.degree(v) for v in range(tree.n)) == [1, 1, 1, 2, 3]
+    assert vertex_count(parse_term("supseq([succ(box),box](box,sup(box*2)))")) == 2
+    far = parse_term("sup(supseq(patch([](box);99999999:succ(box)))*3,succ(box))")
+    assert vertex_count(far) == 5 and expand_finite(far).tree.n == 5
+    assert vertex_count(parse_term("supseq([succ(box)](box,succ(box)))")) == INF
+    assert vertex_count(parse_term("supseq(patch(gen(box;succ(_));0:box))")) == INF
+
+
 def test_height_skips_patched_away_prefix_entries():
     assert height(parse_term("supseq(patch([succ(succ(box))](box);0:box))")) == 0
     assert height(parse_term("supseq(patch([succ(succ(box))](box);1:box))")) == 2
