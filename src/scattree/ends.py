@@ -46,17 +46,17 @@ from .terms import (
     YES,
     Generated,
     INF,
-    Patched,
-    Periodic,
     Term,
     TermError,
     WSum,
     analysis_cache,
     branch_count,
+    components,
     equimorphic,
     growth_certificate,
     is_single_vertex,
     root_degree,
+    settled_from,
     shift_walk,
     spine_address,
     stage,
@@ -100,20 +100,24 @@ class ShiftReport:
 def regular_components(seq) -> tuple[str, str]:
     """(verdict, reason): do the components fall into finitely many
     equimorphy classes?"""
-    if isinstance(seq, Periodic):
+    verdict, reason = _regular_tail(components(seq)[2])
+    if seq.last_patch() >= 0:
+        reason += " (finitely many overrides)"
+    return verdict, reason
+
+
+def _regular_tail(gen):
+    """The same for the components other than the finitely many patches:
+    finitely many terms, or the stages of a generated sequence."""
+    if gen is None:
         return YES, "finitely many component terms"
-    if isinstance(seq, Patched):
-        verdict, reason = regular_components(seq.inner)
-        return verdict, reason + " (finitely many overrides)"
-    if isinstance(seq, Generated):
-        for p in range(1, 4):
-            if equimorphic(stage(seq, 0), stage(seq, p)) == YES:
-                return YES, f"stage 0 equimorphic to stage {p}; classes cycle"
-        growth = growth_certificate(seq) or _branch_growth(seq)
-        if growth:
-            return NO, growth
-        return UNKNOWN, "no equimorphy cycle or growth certificate found"
-    raise TermError(f"bad sequence {seq!r}")
+    for p in range(1, 4):
+        if equimorphic(stage(gen, 0), stage(gen, p)) == YES:
+            return YES, f"stage 0 equimorphic to stage {p}; classes cycle"
+    growth = growth_certificate(gen) or _branch_growth(gen)
+    if growth:
+        return NO, growth
+    return UNKNOWN, "no equimorphy cycle or growth certificate found"
 
 
 def _branch_growth(seq: Generated):
@@ -136,17 +140,16 @@ def _almost_rigid(seq, periods_yes, periods_unknown, horizon):
         return NO
     if periods_unknown:
         return UNKNOWN
-    inner = seq.inner if isinstance(seq, Patched) else seq
-    if isinstance(inner, Periodic):
-        # past the prefix and the overrides the verdict for k repeats that
-        # of k mod cycle, so a horizon past this bound is exhaustive
-        bound = seq.last_patch() + 1 + len(inner.prefix) + 2 * len(inner.cycle)
-        return YES if horizon >= bound else UNKNOWN
-    if isinstance(seq, Generated) and seq.context.hole_depth() >= 1:
+    once, recurring, gen = components(seq)
+    if gen is None:
+        # past the components that occur once the verdict for k repeats
+        # that of k mod cycle, so a horizon past this bound is exhaustive
+        return YES if horizon >= settled_from(seq) + 2 * len(recurring) else UNKNOWN
+    if not once and gen.context.hole_depth() >= 1:
         # stage 0 cannot embed into any later stage when its root degree
         # exceeds the fixed root degree of all later stages
-        d0 = root_degree(stage(seq, 0))
-        d1 = root_degree(stage(seq, 1))
+        d0 = root_degree(stage(gen, 0))
+        d1 = root_degree(stage(gen, 1))
         if d1 != "w" and (d0 == "w" or d0 > d1):
             return YES
     return UNKNOWN

@@ -29,11 +29,9 @@ from .terms import (
     NO,
     UNKNOWN,
     YES,
-    Box,
     Context,
     Generated,
     OMEGA_MULT,
-    Patched,
     Periodic,
     Succ,
     Sup,
@@ -42,6 +40,7 @@ from .terms import (
     TermError,
     WSum,
     analysis_cache,
+    components,
     is_rayless,
     resolve,
     stage,
@@ -136,58 +135,37 @@ def _rank_summary(t, memo):
         return rank_summary(t.child, memo)
     if isinstance(t, Sup):
         return _union((rank_summary(a, memo), m) for a, m in t.arms)
-    if isinstance(t, WSum):
-        sigma, finite_parts = _seq_profile(t.seq, memo)
-        rank = ord_succ(sigma)
-        for s, _ in finite_parts:
-            if s.space_rank > rank:
-                rank = s.space_rank
-        top = 1 if rank == ord_succ(sigma) else 0
-        for s, m in finite_parts:
-            if s.space_rank == rank:
-                top = _add_tops(top, _scale_top(s.top_ends, m))
-        limit = bool(top == 0)
-        return RankSummary(rank, top, limit)
     if isinstance(t, SupSeq):
-        return _supseq_summary(t.seq, memo)
+        return _union(_parts(t.seq, memo))
+    if isinstance(t, WSum):
+        parts = _parts(t.seq, memo)
+        # sigma: the sup of the ranks realized by infinitely many components
+        sigma = max((s.space_rank for s, m in parts if m == OMEGA_MULT), default=ZERO)
+        spine = ord_succ(sigma)  # the rank of the spine's own end
+        rank = max([spine] + [s.space_rank for s, m in parts if m == 1])
+        top = 1 if rank == spine else 0
+        for s, m in parts:
+            if m == 1 and s.space_rank == rank:
+                top = _add_tops(top, s.top_ends)
+        return RankSummary(rank, top, top == 0)
     raise TermError(f"bad term {t!r}")
 
 
-def _seq_profile(seq, memo):
-    """(sigma, finite_parts) for a spined component sequence: sigma is the
-    sup of ranks realized by infinitely many components; finite_parts lists
-    summaries of components that occur only finitely often, with counts."""
-    if isinstance(seq, Periodic):
-        sigma = ZERO
-        for x in seq.cycle:
-            r = rank_summary(x, memo).space_rank
-            if r > sigma:
-                sigma = r
-        finite_parts = [(rank_summary(x, memo), 1) for x in seq.prefix]
-        return sigma, finite_parts
-    if isinstance(seq, Generated):
-        kind, data = _fit_recurrence(seq, memo)
-        if kind == "stable":
-            return data.space_rank, [(rank_summary(seq.base, memo), 1)]
-        # growing: component ranks are cofinal in a limit ordinal
-        return data, []
-    if isinstance(seq, Patched):
-        sigma, finite_parts = _seq_profile(seq.inner, memo)
-        # drop the inner contributions of overridden positions: prefix
-        # entries of a periodic inner, or the base of a stable generator;
-        # a patched cycle or later-stage position leaves infinitely many
-        # identical-rank components behind, so sigma is unaffected
-        if isinstance(seq.inner, Periodic):
-            dropped = {n for n, _ in seq.patches if n < len(seq.inner.prefix)}
-            finite_parts = [
-                part for i, part in enumerate(finite_parts) if i not in dropped
-            ]
-        elif isinstance(seq.inner, Generated):
-            if any(n == 0 for n, _ in seq.patches):
-                finite_parts = finite_parts[1:]
-        extra = [(rank_summary(x, memo), 1) for _, x in seq.patches]
-        return sigma, finite_parts + extra
-    raise TermError(f"bad sequence {seq!r}")
+def _parts(seq, memo):
+    """The component summaries of a sequence with their multiplicities: 1
+    for a component that occurs once, omega for a cycle term and for the
+    eventual stages of a generated tail.  Stage 0 needs no part of its
+    own: it is a subtree of stage 1, so its ends sit at levels stage 1
+    also reaches.  When the stage ranks grow, the tail's part is their
+    sup, a limit realized by no single end."""
+    once, recurring, gen = components(seq)
+    parts = [(rank_summary(x, memo), OMEGA_MULT) for x in recurring]
+    if gen is not None:
+        kind, data = _fit_recurrence(gen, memo)
+        if kind == "growing":
+            data = RankSummary(data, 0, True)
+        parts.append((data, OMEGA_MULT))
+    return parts + [(rank_summary(x, memo), 1) for _, x in once]
 
 
 def _fit_recurrence(seq: Generated, memo):
@@ -239,48 +217,6 @@ def _limit_of(alpha: Ordinal) -> Ordinal:
     else:
         terms.append((ONE, 1))
     return Ordinal(terms)
-
-
-def _supseq_summary(seq, memo):
-    if isinstance(seq, Periodic):
-        cyc = [rank_summary(x, memo) for x in seq.cycle]
-        pre = [rank_summary(x, memo) for x in seq.prefix]
-        parts = [(s, 1) for s in pre] + [(s, OMEGA_MULT) for s in cyc]
-        return _union(parts)
-    if isinstance(seq, Generated):
-        kind, data = _fit_recurrence(seq, memo)
-        if kind == "stable":
-            eventual = data
-            base = rank_summary(seq.base, memo)
-            return _union([(base, 1), (eventual, OMEGA_MULT)])
-        # ranks grow without bound: the union's rank is their sup, a limit
-        # realized by no single end
-        return RankSummary(data, 0, True)
-    if isinstance(seq, Patched):
-        extra = [(rank_summary(x, memo), 1) for _, x in seq.patches]
-        patched_at = {n for n, _ in seq.patches}
-        inner = seq.inner
-        if isinstance(inner, Periodic):
-            # rebuild the union without the overridden prefix entries;
-            # patched cycle positions leave infinitely many copies behind
-            parts = [
-                (rank_summary(x, memo), 1)
-                for i, x in enumerate(inner.prefix)
-                if i not in patched_at
-            ]
-            parts += [(rank_summary(x, memo), OMEGA_MULT) for x in inner.cycle]
-            return _union(parts + extra)
-        if isinstance(inner, Generated):
-            kind, data = _fit_recurrence(inner, memo)
-            if kind == "stable":
-                parts = [(data, OMEGA_MULT)]
-                if 0 not in patched_at:
-                    parts.append((rank_summary(inner.base, memo), 1))
-                return _union(parts + extra)
-            # growing: finitely many overrides cannot change a cofinal sup,
-            # but a patch may exceed it
-            return _union([(RankSummary(data, 0, True), 1)] + extra)
-    raise TermError(f"bad sequence {seq!r}")
 
 
 # -- rank witnesses -----------------------------------------------------------

@@ -33,7 +33,7 @@ from .terms import (
     YES,
     Term,
     WSum,
-    component_terms,
+    components,
     is_rayless,
     is_single_vertex,
     expand_finite,
@@ -154,7 +154,7 @@ def twin_cardinality(t: Term, horizon: int = 8):
         return ONE, "a bare one-way path is its only twin"
     if report.almost_rigid == YES and _all_components_finite(t.seq):
         return ONE, "almost rigid with finite components: no twin can differ"
-    if report.regular == YES and report.periods and not _bare_path(t.seq):
+    if report.regular == YES and report.periods:
         return (
             INFINITE,
             "regular components with a genuine shift: pruned initial segments "
@@ -163,18 +163,19 @@ def twin_cardinality(t: Term, horizon: int = 8):
     return UNKNOWN, "no twin-cardinality rule applies within the horizon"
 
 
+def _representatives(seq):
+    """The component terms of seq, with stages 0 and 1 standing for a
+    generated tail."""
+    once, recurring, gen = components(seq)
+    tail = [] if gen is None else [stage(gen, 0), stage(gen, 1)]
+    return [x for _, x in once] + list(recurring) + tail
+
+
 def _bare_path(seq) -> bool:
-    fixed, gen = component_terms(seq)
-    return all(is_single_vertex(x) for x in fixed) and (
-        gen is None
-        or all(is_single_vertex(stage(gen, j)) for j in range(3))
-        and is_single_vertex(gen.context.subst(stage(gen, 0)))
-    )
+    # a context that keeps stages 0 and 1 single vertices keeps them all so
+    return all(is_single_vertex(x) for x in _representatives(seq))
 
 
 def _all_components_finite(seq) -> bool:
-    fixed, gen = component_terms(seq)
     # an affine recurrence keeps finite sizes finite
-    return all(vertex_count(x) != INF for x in fixed) and (
-        gen is None or vertex_count(stage(gen, 0)) != INF and vertex_count(stage(gen, 1)) != INF
-    )
+    return all(vertex_count(x) != INF for x in _representatives(seq))

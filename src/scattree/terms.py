@@ -666,28 +666,41 @@ def is_single_vertex(t: Term) -> bool:
     return False
 
 
-def component_terms(seq):
-    """The components of a sequence as (terms, generated): the finitely many
-    terms that occur (prefix entries no patch overrides, the cycle and the
-    patches), and the generated sequence that supplies the rest, or None.
-    A generated sequence is read whole, patched positions included."""
+def components(seq):
+    """The layout of a component sequence as (once, recurring, generated):
+    `once`, the (position, term) pairs, in position order, of the prefix
+    entries no patch overrides and of the patches; `recurring`, the cycle
+    terms, each at infinitely many positions; and `generated`, the
+    Generated sequence whose stages fill every other position, or None.
+    Every reader of a sequence's layout goes through here.  A generated
+    sequence is read whole, patched positions included."""
     if isinstance(seq, Periodic):
-        return seq.prefix + seq.cycle, None
+        return tuple(enumerate(seq.prefix)), seq.cycle, None
     if isinstance(seq, Generated):
-        return (), seq
-    if isinstance(seq, Patched):
-        patches = tuple(t for _, t in seq.patches)
-        inner = seq.inner
-        if isinstance(inner, Generated):
-            return patches, inner
-        kept = tuple(t for n, t in enumerate(inner.prefix) if seq.patch_at(n) is None)
-        return kept + inner.cycle + patches, None
-    raise TermError(f"bad sequence {seq!r}")
+        return (), (), seq
+    # patched: the inner layout, its overridden entries replaced by the patches
+    once, recurring, gen = components(seq.inner)
+    kept = [(n, t) for n, t in once if seq.patch_at(n) is None]
+    return tuple(sorted(kept + list(seq.patches), key=lambda e: e[0])), recurring, gen
+
+
+def settled_from(seq) -> int:
+    """The first position past every component that occurs once: from
+    there on each component is a cycle member or a generated stage."""
+    once = components(seq)[0]
+    return once[-1][0] + 1 if once else 0
+
+
+def _members(seq):
+    """The component terms of seq other than generated stages, and the
+    generated sequence or None."""
+    once, recurring, gen = components(seq)
+    return [t for _, t in once] + list(recurring), gen
 
 
 def _seq_all_single(seq) -> bool:
-    fixed, gen = component_terms(seq)
-    return all(is_single_vertex(t) for t in fixed) and _gen_single(gen)
+    members, gen = _members(seq)
+    return all(is_single_vertex(t) for t in members) and _gen_single(gen)
 
 
 def _gen_single(gen) -> bool:
@@ -712,8 +725,8 @@ def is_rayless(t: Term) -> bool:
 
 
 def _seq_rayless(seq) -> bool:
-    fixed, gen = component_terms(seq)
-    return all(is_rayless(t) for t in fixed) and (
+    members, gen = _members(seq)
+    return all(is_rayless(t) for t in members) and (
         gen is None or is_rayless(gen.base) and is_rayless(gen.context.subst(BOX))
     )
 
@@ -737,12 +750,10 @@ def vertex_count(t: Term):
     if isinstance(t, SupSeq):
         # finite when the components that repeat (the cycle, a generated
         # tail) are single vertices; the finitely many others hang below
-        fixed, gen = component_terms(t.seq)
-        inner = _inner(t.seq)
-        cycle = inner.cycle if isinstance(inner, Periodic) else ()
-        if not (all(is_single_vertex(c) for c in cycle) and _gen_single(gen)):
+        once, recurring, gen = components(t.seq)
+        if not (all(is_single_vertex(c) for c in recurring) and _gen_single(gen)):
             return INF
-        return 1 + sum(vertex_count(c) - 1 for c in fixed)
+        return 1 + sum(vertex_count(c) - 1 for _, c in once)
     if isinstance(t, WSum):
         return INF
     raise TermError(f"bad term {t!r}")
@@ -760,8 +771,8 @@ def height(t: Term):
     if isinstance(t, WSum):
         return INF
     if isinstance(t, SupSeq):
-        fixed, gen = component_terms(t.seq)
-        hs = [height(x) for x in fixed]
+        members, gen = _members(t.seq)
+        hs = [height(x) for x in members]
         if gen is not None:
             if gen.context.hole_depth() != 0 or _hole_in_cycle(gen.context.shape):
                 return INF
@@ -796,27 +807,16 @@ def root_degree(t: Term):
         d = root_degree(stage(t.seq, 0))
         return "w" if d == "w" else d + 1
     if isinstance(t, SupSeq):
-        seq = t.seq
-        if isinstance(seq, Periodic):
-            cyc = 0
-            for x in seq.cycle:
-                d = root_degree(x)
-                if d == "w" or d > 0:
-                    return "w"  # repeats forever
-                cyc += d
-            total = 0
-            for x in seq.prefix:
-                d = root_degree(x)
-                if d == "w":
-                    return "w"
-                total += d
-            return total
-        degs = [root_degree(stage(seq, j)) for j in range(6)]
-        if any(d == "w" for d in degs):
-            return "w"
-        if degs[1:] and all(d == degs[1] for d in degs[1:]):
-            return "w" if degs[1] > 0 else degs[0]
-        return "w"
+        once, recurring, gen = components(t.seq)
+        if not (all(is_single_vertex(x) for x in recurring) and _gen_single(gen)):
+            return "w"  # a root neighbour repeats forever
+        total = 0
+        for _, x in once:
+            d = root_degree(x)
+            if d == "w":
+                return "w"
+            total += d
+        return total
     raise TermError(f"bad term {t!r}")
 
 
@@ -834,20 +834,22 @@ def branch_count(t: Term):
             return None
         return _branch_over(kids)
     if isinstance(t, WSum):
-        seq = t.seq
-        if not isinstance(seq, Periodic):
+        once, recurring, gen = components(t.seq)
+        if gen is not None:
             return None
         # A cycle component with any child makes its spine vertex branch
         # (child + next spine vertex), and that recurs forever.
-        if any(not is_single_vertex(x) for x in seq.cycle):
+        if any(not is_single_vertex(x) for x in recurring):
             return INF
+        # a spine vertex branches when its component has a child
         best = 0
-        running = 0  # branching spine vertices before position i
-        for i, x in enumerate(seq.prefix):
+        running = 0  # branching spine vertices before this one
+        for _, x in once:
+            if is_single_vertex(x):
+                continue
             kids = root_children(x)
             if kids is None:
                 return None
-            here = 0 if is_single_vertex(x) else 1
             sub = 0  # deepest branch count strictly below the spine vertex
             for c, _ in kids:
                 b = branch_count(c)
@@ -856,15 +858,17 @@ def branch_count(t: Term):
                 if b == INF:
                     return INF
                 sub = max(sub, b)
-            best = max(best, running + here + sub)
-            running += here
-        return max(best, running)
+            best = max(best, running + 1 + sub)
+            running += 1
+        return best
     if isinstance(t, SupSeq):
-        seq = t.seq
-        if not isinstance(seq, Periodic):
+        members, gen = _members(t.seq)
+        if gen is not None:
             return None
         kids = []
-        for x in seq.prefix + seq.cycle:
+        for x in members:
+            if is_single_vertex(x):
+                continue
             sub = root_children(x)
             if sub is None:
                 return None
@@ -1126,8 +1130,9 @@ def _finite_form(t: Term) -> Term:
     if isinstance(t, Sup):
         return Sup([(_finite_form(a), m) for a, m in t.arms])
     if isinstance(t, SupSeq):
-        fixed, _ = component_terms(t.seq)
-        return Sup([(_finite_form(c), 1) for c in fixed if not is_single_vertex(c)] or [(BOX, 1)])
+        members, _ = _members(t.seq)
+        larger = [(_finite_form(c), 1) for c in members if not is_single_vertex(c)]
+        return Sup(larger or [(BOX, 1)])
     return t
 
 
@@ -1435,10 +1440,11 @@ def _wsum_embeds(p, q, horizon, memo):
     inner_p, inner_q = _inner(p), _inner(q)
     periodic = isinstance(inner_p, Periodic) and isinstance(inner_q, Periodic)
     if periodic:
-        # past the transient the verdict at shift s depends only on s modulo
-        # the cycle alignment, so a finite shift range is exhaustive
-        cycle = lcm(len(inner_p.cycle), len(inner_q.cycle))
-        s_max = _transient(p, q) + len(inner_q.prefix) + cycle
+        # from q's last patch and prefix on, q[n + s] is the cycle member
+        # fixed by n + s modulo q's cycle for every n, so the verdict at s
+        # repeats at s + len(cycle): one cycle of shifts past there is
+        # exhaustive, however late p's patches sit
+        s_max = settled_from(q) + len(inner_q.cycle) - 1
     else:
         s_max = horizon
     saw_unknown = False

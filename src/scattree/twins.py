@@ -21,7 +21,6 @@ families.
 
 from __future__ import annotations
 
-import json
 import re
 from math import lcm
 
@@ -29,13 +28,12 @@ from .terms import (
     BOX,
     YES,
     CutCoder,
-    Generated,
     Patched,
-    Periodic,
     Term,
     TermError,
     WSum,
     equimorphic,
+    settled_from,
     stage,
 )
 
@@ -476,16 +474,6 @@ def analyze_lpath(p: LabelledPath) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _transient_length(seq) -> int:
-    if isinstance(seq, Periodic):
-        return len(seq.prefix)
-    if isinstance(seq, Generated):
-        return 0
-    if isinstance(seq, Patched):
-        return max(_transient_length(seq.inner), seq.last_patch() + 1)
-    raise TermError("unknown component sequence")
-
-
 def _shift_data(t: Term, horizon: int):
     from .ends import shift_report
     from .stability import twin_cardinality
@@ -503,8 +491,9 @@ def _shift_data(t: Term, horizon: int):
 
 def twin_n(t: Term, n: int, horizon: int = 8) -> Term:
     """The n-th member of an infinite twin family: prune spine positions
-    0..(l + 1 + 3nk) to bare vertices, where l is the transient length and
-    k the least strict shift period.
+    0..(l + 1 + 3nk) to bare vertices, where l is the transient length
+    (`settled_from`: past the prefix and the patches) and k the least
+    strict shift period.
 
     The pruned tree embeds into the original identically beyond the pruned
     zone (and a bare vertex embeds anywhere), and the original embeds into
@@ -515,7 +504,7 @@ def twin_n(t: Term, n: int, horizon: int = 8) -> Term:
     if n < 1:
         raise TermError("twin index starts at 1")
     k = _shift_data(t, horizon)
-    top = _transient_length(t.seq) + 1 + 3 * n * k
+    top = settled_from(t.seq) + 1 + 3 * n * k
     return WSum(Patched(t.seq, {j: BOX for j in range(top + 1)}))
 
 
@@ -580,15 +569,8 @@ def verify_twins(t: Term, twins, horizon: int = 12) -> dict:
     the family is then reported unverified, never wrongly verified.
     """
     items = [t] + list(twins)
-    reach = max(
-        (
-            x.seq.patches[-1][0] + 2
-            for x in items
-            if isinstance(x, WSum) and isinstance(x.seq, Patched) and x.seq.patches
-        ),
-        default=0,
-    )
-    reach = min(reach, MAX_REACH)
+    patched = [x.seq.last_patch() for x in items if isinstance(x, WSum)]
+    reach = min(max((n + 2 for n in patched if n >= 0), default=0), MAX_REACH)
     coder = CutCoder(CUT_WIDTH)
     depth = max(20, reach)
     codes = [str(coder.code(x, depth)) for x in items]
@@ -601,42 +583,3 @@ def verify_twins(t: Term, twins, horizon: int = 12) -> dict:
         "codes": codes,
         "ok": all(v == YES for v in mutual) and distinct,
     }
-
-
-def twins_report(t: Term, n: int = 3, horizon: int = 8) -> dict:
-    """Build and verify a family of n twins via twin_n."""
-    family = [twin_n(t, j, horizon) for j in range(1, n + 1)]
-    check = verify_twins(t, family, horizon=max(horizon, 12))
-    return {
-        "family": family,
-        "prune_tops": [x.seq.last_patch() for x in family],
-        "verified": check["ok"],
-        "mutual": check["mutual"],
-        "codes_distinct": check["codes_distinct"],
-    }
-
-
-def subset_twins_report(t: Term, count: int = 3, horizon: int = 8) -> dict:
-    """Build and verify twins from an almost disjoint family of position
-    sets."""
-    sets = almost_disjoint_family(count)
-    family = [twin_from_subset(t, a, horizon) for a in sets]
-    check = verify_twins(t, family, horizon=max(horizon, 12))
-    return {
-        "sets": sets,
-        "family": family,
-        "verified": check["ok"],
-        "mutual": check["mutual"],
-        "codes_distinct": check["codes_distinct"],
-    }
-
-
-def twin_json(report: dict) -> str:
-    out = dict(report)
-    if "family" in out:
-        from .terms import format_term
-
-        out["family"] = [format_term(x) for x in out["family"]]
-    if "sets" in out:
-        out["sets"] = [list(a) for a in out["sets"]]
-    return json.dumps(out)

@@ -15,7 +15,7 @@ from scattree.ends import shift_report
 from scattree.ranks import RankUndecided, rank_summary
 from scattree.stability import classify, twin_cardinality
 from scattree.terms import builtins, format_term, parse_term
-from scattree.twins import twins_report
+from scattree.twins import twin_n, verify_twins
 
 CORPUS = 300
 
@@ -25,8 +25,7 @@ _CONTEXTS = ("succ(_)", "sup(_*2)", "succ(sup(_*2))", "sup(succ(_)*w)", "sup(_,s
 @pytest.fixture
 def report_count(monkeypatch):
     """Counts computed shift reports: each one classifies its component
-    sequence once (twice for a patched one, whose inner sequence is asked
-    too), so the tests below use unpatched spines."""
+    sequence once."""
     calls = [0]
     original = ends.regular_components
 
@@ -57,7 +56,8 @@ def test_analyze_sequence_computes_one_report(report_count):
 
 def test_twin_family_shares_one_report(report_count):
     t = fresh("ex1")
-    assert twins_report(t, 8)["verified"]
+    family = [twin_n(t, j, 8) for j in range(1, 9)]
+    assert verify_twins(t, family, horizon=12)["ok"]
     assert report_count[0] == 1
     twin_cardinality(t, 8)
     assert report_count[0] == 1

@@ -209,3 +209,27 @@ def test_far_patches_cost_bounded_work(monkeypatch):
     early = parse_term("wsum(patch([](box);1500:succ(box)))")
     assert embeds(late, early) == NO
     assert embeds(early, late) == YES
+
+
+def test_far_patch_in_the_source_bounds_the_shifts_tried(monkeypatch):
+    """From q's last patch and prefix on, the verdict at shift s repeats with
+    q's cycle, so embedding a wsum into a periodic one tries one cycle of
+    shifts past there, however late the source's patches sit."""
+    shifts = []
+    walk = terms.shift_walk
+
+    def counted_walk(p, q, s, *args, **kwargs):
+        shifts.append(s)
+        return walk(p, q, s, *args, **kwargs)
+
+    monkeypatch.setattr(terms, "shift_walk", counted_walk)
+    ray = parse_term("wsum([](box))")
+    comb = parse_term("wsum([box](succ(box),box))")
+    for far in (100000, 99999999):
+        shifts.clear()
+        assert embeds(parse_term(f"wsum(patch([](box);{far}:succ(box)))"), ray) == NO
+        assert shifts == [0]
+        shifts.clear()
+        assert embeds(parse_term(f"wsum(patch([](box);{far}:sup(box,succ(box)*2)))"), comb) == NO
+        assert shifts == [0, 1, 2]
+

@@ -156,6 +156,15 @@ def test_root_degree():
     assert root_degree(parse_term("sup(succ(box)*w)")) == "w"
     assert root_degree(builtins()["ray"]) == 1  # spine only
     assert root_degree(parse_term("wsum([succ(box)](box))")) == 2
+    # a patch anywhere in a supseq of single vertices adds its own degree
+    for text in (
+        "supseq(patch([](box);10:succ(box)))",
+        "supseq(patch([](box);3:succ(box)))",
+        "supseq(patch(gen(box;sup(_));7:succ(box)))",
+    ):
+        t = parse_term(text)
+        assert root_degree(t) == resolve(t, ()).degree == 1, text
+    assert root_degree(parse_term("supseq(patch([](succ(box));3:box))")) == "w"
 
 
 def test_rayless_detection():

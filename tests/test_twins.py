@@ -1,4 +1,3 @@
-import json
 import os
 import random
 import subprocess
@@ -37,11 +36,8 @@ from scattree.twins import (
     lpath_twin_count,
     parse_lpath,
     shift_feasible,
-    subset_twins_report,
     twin_from_subset,
-    twin_json,
     twin_n,
-    twins_report,
     verify_twins,
 )
 
@@ -256,21 +252,20 @@ def test_verify_twins_runs_both_checks():
     assert len(set(report["codes"])) == len(twins) + 1  # original included
 
 
-def test_twins_report_and_json():
+def test_twin_n_family_prune_tops():
     t = parse_term("wsum([](succ(box)))")
-    r = twins_report(t, 3)
-    assert r["verified"]
-    assert r["prune_tops"] == [4, 7, 10]
-    data = json.loads(twin_json(r))
-    assert data["verified"] is True
-    assert len(data["family"]) == 3
+    family = [twin_n(t, j) for j in range(1, 4)]
+    assert verify_twins(t, family)["ok"]
+    assert [x.seq.last_patch() for x in family] == [4, 7, 10]
 
 
 def test_subset_twins_report_on_growing_components():
-    r = subset_twins_report(builtins()["ex1"], 3)
-    assert r["verified"]
-    assert len(r["family"]) == 3
-    assert len(r["sets"]) == 3
+    t = builtins()["ex1"]
+    sets = almost_disjoint_family(3)
+    family = [twin_from_subset(t, a) for a in sets]
+    assert verify_twins(t, family)["ok"]
+    assert len(family) == 3
+    assert len(sets) == 3
 
 
 # -- properties -----------------------------------------------------------------------
