@@ -36,7 +36,6 @@ from .terms import (
     truncation_json,
 )
 from .twins import (
-    almost_disjoint_family,
     analyze_lpath,
     enumerate_lpath_twins,
     format_lpath,

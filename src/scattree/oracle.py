@@ -24,7 +24,6 @@ from math import factorial
 from .finite_trees import (
     FiniteTree,
     RootedFiniteTree,
-    TreeError,
     automorphism_classifier,
     canonical_code,
     center,

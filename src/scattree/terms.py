@@ -309,25 +309,30 @@ HOLE = Hole()
 
 
 def _count_holes(t):
-    if isinstance(t, Hole):
-        return 1
-    if isinstance(t, (Box,)):
-        return 0
-    if isinstance(t, Succ):
-        return _count_holes(t.child)
-    if isinstance(t, Sup):
-        # multiplicity is substitution fan-out, not extra hole slots
-        return sum(_count_holes(a) for a, _ in t.arms)
-    if isinstance(t, WSum):
-        seq = t.seq
-        if not isinstance(seq, Periodic):
-            raise TermError("contexts cannot contain generated sequences")
-        pre = sum(_count_holes(x) for x in seq.prefix)
-        cyc = sum(_count_holes(x) for x in seq.cycle)
-        return pre + cyc
-    if isinstance(t, SupSeq):
-        raise TermError("contexts cannot contain supseq")
-    raise TermError(f"bad context node {t!r}")
+    """Holes in a context shape, from an explicit stack (a parsed shape may
+    nest deeper than Python's recursion limit); nodes are visited left to
+    right, so the first bad one is reported."""
+    holes = 0
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Hole):
+            holes += 1
+        elif isinstance(t, Succ):
+            stack.append(t.child)
+        elif isinstance(t, Sup):
+            # multiplicity is substitution fan-out, not extra hole slots
+            stack.extend(a for a, _ in reversed(t.arms))
+        elif isinstance(t, WSum):
+            seq = t.seq
+            if not isinstance(seq, Periodic):
+                raise TermError("contexts cannot contain generated sequences")
+            stack.extend(reversed(seq.prefix + seq.cycle))
+        elif isinstance(t, SupSeq):
+            raise TermError("contexts cannot contain supseq")
+        elif not isinstance(t, Box):
+            raise TermError(f"bad context node {t!r}")
+    return holes
 
 
 def _subst(t, repl):
@@ -449,149 +454,192 @@ def format_seq(seq: ComponentSeq) -> str:
 
 # -- parsing ------------------------------------------------------------------
 
-_TOKENS = re.compile(r"\s*(box|succ|supseq|sup|wsum|gen|patch|w|_|\d+|[()\[\],;:*])")
+_TOKENS = re.compile(r"[()\[\],;:*]|box|succ|supseq|sup|wsum|gen|patch|w|_|\d+")
 
 
-class _Parser:
-    def __init__(self, text):
-        self.text = text
-        self.toks = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKENS.match(text, pos)
-            if not m:
-                if text[pos:].strip():
-                    raise TermError(f"syntax error at position {pos}: {text[pos:pos+20]!r}")
-                break
-            self.toks.append((m.group(1), m.start(1)))
-            pos = m.end()
-        self.toks.append((None, len(text)))
-        self.i = 0
+def _token_position(text, i):
+    """Where token i of a text that splits into tokens starts; past the last
+    token, the text's length.  Only error messages need positions."""
+    for j, m in enumerate(_TOKENS.finditer(text)):
+        if j == i:
+            return m.start()
+    return len(text)
 
-    def peek(self):
-        return self.toks[self.i][0]
 
-    def pos(self):
-        return self.toks[self.i][1]
-
-    def take(self, expected=None):
-        tok, at = self.toks[self.i]
-        if tok is None or (expected is not None and tok != expected):
-            raise TermError(f"expected {expected or 'a token'} at position {at} in {self.text!r}")
-        self.i += 1
-        return tok
-
-    def parse_term(self, allow_hole=False):
-        tok = self.peek()
-        if tok == "box":
-            self.take()
-            return BOX
-        if tok == "_":
-            if not allow_hole:
-                raise TermError(f"hole not allowed at position {self.pos()}")
-            self.take()
-            return HOLE
-        if tok == "succ":
-            self.take()
-            self.take("(")
-            child = self.parse_term(allow_hole)
-            self.take(")")
-            return Succ(child)
-        if tok == "sup":
-            self.take()
-            self.take("(")
-            arms = [self.parse_arm(allow_hole)]
-            while self.peek() == ",":
-                self.take(",")
-                arms.append(self.parse_arm(allow_hole))
-            self.take(")")
-            return Sup(arms)
-        if tok == "wsum":
-            self.take()
-            self.take("(")
-            seq = self.parse_seq(allow_hole)
-            self.take(")")
-            return WSum(seq)
-        if tok == "supseq":
-            if allow_hole:
-                raise TermError(f"supseq not allowed inside a context (position {self.pos()})")
-            self.take()
-            self.take("(")
-            seq = self.parse_seq(False)
-            self.take(")")
-            return SupSeq(seq)
-        raise TermError(f"expected a term at position {self.pos()} in {self.text!r}")
-
-    def parse_arm(self, allow_hole):
-        t = self.parse_term(allow_hole)
-        m = 1
-        if self.peek() == "*":
-            self.take("*")
-            tok = self.take()
-            if tok == "w":
-                m = OMEGA_MULT
-            elif tok.isdigit():
-                m = int(tok)
-                if m < 1:
-                    raise TermError(f"multiplicity must be >= 1 at position {self.pos()}")
-            else:
-                raise TermError(f"expected multiplicity at position {self.pos()}")
-        return (t, m)
-
-    def parse_seq(self, allow_hole):
-        tok = self.peek()
-        if tok == "[":
-            self.take("[")
-            prefix = []
-            if self.peek() != "]":
-                prefix.append(self.parse_term(allow_hole))
-                while self.peek() == ",":
-                    self.take(",")
-                    prefix.append(self.parse_term(allow_hole))
-            self.take("]")
-            self.take("(")
-            cycle = [self.parse_term(allow_hole)]
-            while self.peek() == ",":
-                self.take(",")
-                cycle.append(self.parse_term(allow_hole))
-            self.take(")")
-            return Periodic(prefix, cycle)
-        if tok == "gen":
-            if allow_hole:
-                raise TermError(f"gen not allowed inside a context (position {self.pos()})")
-            self.take()
-            self.take("(")
-            base = self.parse_term(False)
-            self.take(";")
-            shape = self.parse_term(allow_hole=True)
-            self.take(")")
-            return Generated(base, Context(shape))
-        if tok == "patch":
-            if allow_hole:
-                raise TermError(f"patch not allowed inside a context (position {self.pos()})")
-            self.take()
-            self.take("(")
-            inner = self.parse_seq(False)
-            self.take(";")
-            patches = {}
-            while True:
-                n = int(self.take())
-                self.take(":")
-                patches[n] = self.parse_term(False)
-                if self.peek() != ",":
-                    break
-                self.take(",")
-            self.take(")")
-            return Patched(inner, patches)
-        raise TermError(f"expected a component sequence at position {self.pos()} in {self.text!r}")
+def _expected(what, text, i):
+    return TermError(f"expected {what} at position {_token_position(text, i)} in {text!r}")
 
 
 def parse_term(text: str) -> Term:
-    p = _Parser(text)
-    t = p.parse_term()
-    if p.peek() is not None:
-        raise TermError(f"trailing input at position {p.pos()} in {text!r}")
-    return t
+    """Read a term in the grammar above; whitespace may separate tokens.
+
+    The tokens come from one findall, and the text splits into tokens
+    exactly when they cover every non-space character; a syntax error names
+    the end of the last token before the first stray character.  The reader
+    keeps the open nodes on an explicit stack of frames ``[kind, parts...]``,
+    so any nesting depth parses without Python recursion."""
+    toks = _TOKENS.findall(text)
+    if len("".join(toks)) != len("".join(text.split())):
+        pos = 0
+        for m in _TOKENS.finditer(text):
+            if text[pos:m.start()].strip():
+                break
+            pos = m.end()
+        raise TermError(f"syntax error at position {pos}: {text[pos:pos+20]!r}")
+    toks.append(None)
+    stack = []
+    value = None
+    hole = False  # reading a gen context, the only place "_" may stand
+    want_seq = False
+    i = 0
+    while True:
+        # open: read a leaf, or push the frame of a node and read its first part
+        tok = toks[i]
+        if want_seq:
+            if tok == "[":
+                i += 1
+                if toks[i] == "]":
+                    if toks[i + 1] != "(":
+                        raise _expected("(", text, i + 1)
+                    i += 2
+                    stack.append(["cycle", [], []])
+                else:
+                    stack.append(["prefix", [], []])
+                want_seq = False
+                continue
+            if tok == "gen":
+                frame = ["gen"]
+                want_seq = False
+            elif tok == "patch":
+                frame = ["patch"]
+            else:
+                raise _expected("a component sequence", text, i)
+            if hole:
+                raise TermError(
+                    f"{tok} not allowed inside a context (position {_token_position(text, i)})"
+                )
+        elif tok == "box":
+            i += 1
+            value = BOX
+        elif tok == "_":
+            if not hole:
+                raise TermError(f"hole not allowed at position {_token_position(text, i)}")
+            i += 1
+            value = HOLE
+        elif tok == "succ":
+            frame = ["succ"]
+        elif tok == "sup":
+            frame = ["sup", []]
+        elif tok == "wsum":
+            frame = ["wsum"]
+            want_seq = True
+        elif tok == "supseq":
+            if hole:
+                raise TermError(
+                    f"supseq not allowed inside a context (position {_token_position(text, i)})"
+                )
+            frame = ["supseq"]
+            want_seq = True
+        else:
+            raise _expected("a term", text, i)
+        if value is None:
+            if toks[i + 1] != "(":
+                raise _expected("(", text, i + 1)
+            i += 2
+            stack.append(frame)
+            continue
+        # close: hand the value to the innermost frame; finish the frames it
+        # completes, up to one that wants another part
+        while stack:
+            frame = stack[-1]
+            kind = frame[0]
+            tok = toks[i]
+            if kind == "sup":
+                m = 1
+                if tok == "*":
+                    tok = toks[i + 1]
+                    if tok is None:
+                        raise _expected("a token", text, i + 1)
+                    i += 2
+                    if tok == "w":
+                        m = OMEGA_MULT
+                    elif not tok.isdigit():
+                        raise TermError(f"expected multiplicity at position {_token_position(text, i)}")
+                    elif (m := int(tok)) < 1:
+                        raise TermError(f"multiplicity must be >= 1 at position {_token_position(text, i)}")
+                    tok = toks[i]
+                frame[1].append((value, m))
+                if tok == ",":
+                    i += 1
+                    break
+            elif kind == "prefix":
+                frame[1].append(value)
+                if tok == ",":
+                    i += 1
+                    break
+                if tok != "]":
+                    raise _expected("]", text, i)
+                if toks[i + 1] != "(":
+                    raise _expected("(", text, i + 1)
+                i += 2
+                frame[0] = "cycle"
+                break
+            elif kind == "cycle":
+                frame[2].append(value)
+                if tok == ",":
+                    i += 1
+                    break
+            elif kind == "gen" and len(frame) == 1:
+                if tok != ";":
+                    raise _expected(";", text, i)
+                i += 1
+                frame.append(value)  # the base; the context follows
+                hole = True
+                break
+            elif kind == "patch":
+                if len(frame) == 1:
+                    if tok != ";":
+                        raise _expected(";", text, i)
+                    frame += (value, {}, None)  # inner sequence, patches, position
+                    more = True
+                else:
+                    frame[2][frame[3]] = value
+                    more = tok == ","
+                if more:
+                    n = toks[i + 1]
+                    if n is None:
+                        raise _expected("a token", text, i + 1)
+                    if not n.isdigit():
+                        raise _expected("a patch position", text, i + 1)
+                    if toks[i + 2] != ":":
+                        raise _expected(":", text, i + 2)
+                    frame[3] = int(n)
+                    i += 3
+                    break
+            if tok != ")":
+                raise _expected(")", text, i)
+            i += 1
+            stack.pop()
+            if kind == "succ":
+                value = Succ(value)
+            elif kind == "sup":
+                value = Sup(frame[1])
+            elif kind == "wsum":
+                value = WSum(value)
+            elif kind == "cycle":
+                value = Periodic(frame[1], frame[2])
+            elif kind == "gen":
+                hole = False
+                value = Generated(frame[1], Context(value))
+            elif kind == "patch":
+                value = Patched(frame[1], frame[2])
+            else:
+                value = SupSeq(value)
+        else:
+            if toks[i] is not None:
+                raise TermError(f"trailing input at position {_token_position(text, i)} in {text!r}")
+            return value
+        value = None
 
 
 # -- built-in fixtures --------------------------------------------------------

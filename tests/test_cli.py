@@ -1,8 +1,22 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from scattree.cli import main
+from scattree.terms import parse_term
+
+MALFORMED = (
+    "wsum(patch([](box);(:box))",
+    "wsum(patch([](box);w:box))",
+    "wsum(patch([](box);:box))",
+    "wsum(patch([](box);1:box,,2:box))",
+    "sup(box",
+    "wsum(x)",
+)
 
 
 def test_examples_lists_all_fixtures(capsys):
@@ -123,11 +137,35 @@ def test_unknown_oracle_is_a_usage_error(capsys):
 
 def test_stack_exhaustion_exits_four(capsys):
     # the rank computation recurses once per succ level; running out of
-    # stack yields no verdict
-    assert main(["rank", "succ(" * 1500 + "box" + ")" * 1500]) == 4
+    # stack yields no verdict.  The parser itself needs no recursion.
+    text = "succ(" * 1500 + "box" + ")" * 1500
+    parse_term(text)
+    assert main(["rank", text]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: RecursionError")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", MALFORMED)
+def test_malformed_term_exits_two(capsys, text):
+    # exit 1 would read as "undecided" under --strict
+    assert main(["rank", text, "--strict"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "position" in err
+
+
+def test_malformed_term_prints_no_traceback():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "scattree.cli", "rank", MALFORMED[0]],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: expected a patch position")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_deep_patch_twins_need_no_deep_recursion(capsys):

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from scattree.ordinals import OMEGA, ZERO, parse_ordinal, format_ordinal, succ as ord_succ
 from scattree.ranks import (
     MANY,
-    RankSummary,
     RankUndecided,
     build_rank_witness,
     lim_member,

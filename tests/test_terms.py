@@ -3,16 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scattree.finite_trees import canonical_code, path_tree, rooted_embeds, star_tree
+from scattree.finite_trees import canonical_code, rooted_embeds
 from scattree.terms import (
     BOX,
-    Context,
-    Generated,
-    HOLE,
     INF,
     NO,
     Patched,
-    Periodic,
     Succ,
     Sup,
     TermError,
@@ -78,6 +74,21 @@ def test_parse_errors_carry_position():
         parse_term("gen(box;succ(_))")  # a sequence is not a term
     with pytest.raises(TermError):
         parse_term("")
+
+
+@pytest.mark.parametrize(
+    "text, at",
+    [
+        ("wsum(patch([](box);(:box))", 19),
+        ("wsum(patch([](box);w:box))", 19),
+        ("wsum(patch([](box);:box))", 19),
+        ("wsum(patch([](box);1:box,,2:box))", 25),
+    ],
+)
+def test_non_numeric_patch_position_is_a_term_error(text, at):
+    with pytest.raises(TermError) as e:
+        parse_term(text)
+    assert str(e.value) == f"expected a patch position at position {at} in {text!r}"
 
 
 def test_context_has_exactly_one_hole():
@@ -487,6 +498,4 @@ def test_truncation_monotone_in_depth(text, depth):
     t = parse_term(text)
     small = truncate(t, depth, width=3)
     big = truncate(t, depth + 2, width=3)
-    from scattree.finite_trees import RootedFiniteTree, rooted_embeds
-
     assert rooted_embeds(small.rooted, big.rooted)

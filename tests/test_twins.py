@@ -23,7 +23,6 @@ from scattree.terms import (
     truncate,
 )
 from scattree.twins import (
-    LabelledPath,
     Poset,
     almost_disjoint_family,
     analyze_lpath,
