@@ -1,123 +1,149 @@
 """Scattered trees as finite terms: end-space ranks, the structure every
 self-embedding preserves, and equimorphy twins, with exhaustive oracles on
-small finite trees."""
+small finite trees.
 
-from .ordinals import (
-    NotASuccessorError,
-    Ordinal,
-    OMEGA,
-    ONE,
-    ZERO,
-    format_ordinal,
-    parse_ordinal,
-)
-from .finite_trees import (
-    EndoClassification,
-    FiniteTree,
-    RootedFiniteTree,
-    TreeError,
-    automorphisms,
-    canonical_code,
-    center,
-    classify_automorphism,
-    is_isomorphic,
-    iter_automorphisms,
-    path_tree,
-    rooted_embeds,
-    star_tree,
-    unrooted_code,
-)
-from .terms import (
-    BOX,
-    Box,
-    ComponentSeq,
-    Context,
-    Generated,
-    NO,
-    Patched,
-    Periodic,
-    Succ,
-    Sup,
-    SupSeq,
-    Term,
-    TermError,
-    Truncation,
-    UNKNOWN,
-    WSum,
-    YES,
-    address_distance,
-    builtins,
-    embeds,
-    equimorphic,
-    expand_finite,
-    format_term,
-    height,
-    is_rayless,
-    join_address,
-    level,
-    parse_term,
-    resolve,
-    resolve_name,
-    shift_seq,
-    spine_address,
-    stage,
-    truncate,
-    truncation_dot,
-    truncation_json,
-    vertex_count,
-)
-from .ranks import (
-    MANY,
-    RankSummary,
-    RankUndecided,
-    build_rank_witness,
-    lim_member,
-    rank_summary,
-)
-from .ends import (
-    OriginUndefined,
-    ShiftReport,
-    origin_vertex,
-    regular_components,
-    shift_report,
-)
-from .stability import StabilityCertificate, classify, twin_cardinality
-from .twins import (
-    LabelledPath,
-    Poset,
-    almost_disjoint_family,
-    analyze_lpath,
-    displacements,
-    enumerate_lpath_twins,
-    format_lpath,
-    least_shift_period,
-    lpath_embeds,
-    lpath_equimorphic,
-    lpath_twin_count,
-    parse_lpath,
-    same_labelling,
-    shift_feasible,
-    twin_from_subset,
-    twin_n,
-    verify_twins,
-)
-from .oracle import (
-    FREE_COUNTS,
-    ROOTED_COUNTS,
-    OracleError,
-    cayley_identity,
-    center_fixed_check,
-    embed_cross_check,
-    endo_classification_sweep,
-    equimorphy_is_isomorphy,
-    free_trees,
-    naive_automorphisms,
-    naive_rooted_embeds,
-    prufer_cross_check,
-    prufer_tree,
-    rooted_trees,
-    run_oracle,
-    unrooted_embeds,
-)
+Every name below is re-exported lazily (PEP 562): importing the package
+loads no submodule, and the first access to a name loads only the module
+that defines it, so each command pays only for what it uses."""
 
 __version__ = "0.1.0"
+
+# the exported names by defining submodule
+_EXPORTS = {
+    "ordinals": (
+        "NotASuccessorError",
+        "Ordinal",
+        "OMEGA",
+        "ONE",
+        "ZERO",
+        "format_ordinal",
+        "parse_ordinal",
+    ),
+    "finite_trees": (
+        "EndoClassification",
+        "FiniteTree",
+        "RootedFiniteTree",
+        "TreeError",
+        "automorphisms",
+        "canonical_code",
+        "center",
+        "classify_automorphism",
+        "is_isomorphic",
+        "iter_automorphisms",
+        "path_tree",
+        "rooted_embeds",
+        "star_tree",
+        "unrooted_code",
+    ),
+    "terms": (
+        "BOX",
+        "Box",
+        "ComponentSeq",
+        "Context",
+        "Generated",
+        "NO",
+        "Patched",
+        "Periodic",
+        "Succ",
+        "Sup",
+        "SupSeq",
+        "Term",
+        "TermError",
+        "Truncation",
+        "UNKNOWN",
+        "WSum",
+        "YES",
+        "address_distance",
+        "builtins",
+        "embeds",
+        "equimorphic",
+        "expand_finite",
+        "format_term",
+        "height",
+        "is_rayless",
+        "join_address",
+        "level",
+        "parse_term",
+        "resolve",
+        "resolve_name",
+        "shift_seq",
+        "spine_address",
+        "stage",
+        "truncate",
+        "truncation_dot",
+        "truncation_json",
+        "vertex_count",
+    ),
+    "ranks": (
+        "MANY",
+        "RankSummary",
+        "RankUndecided",
+        "build_rank_witness",
+        "lim_member",
+        "rank_summary",
+    ),
+    "ends": (
+        "OriginUndefined",
+        "ShiftReport",
+        "origin_vertex",
+        "regular_components",
+        "shift_report",
+    ),
+    "stability": ("StabilityCertificate", "classify", "twin_cardinality"),
+    "twins": (
+        "LabelledPath",
+        "Poset",
+        "almost_disjoint_family",
+        "analyze_lpath",
+        "displacements",
+        "enumerate_lpath_twins",
+        "format_lpath",
+        "least_shift_period",
+        "lpath_embeds",
+        "lpath_equimorphic",
+        "lpath_twin_count",
+        "parse_lpath",
+        "same_labelling",
+        "shift_feasible",
+        "twin_from_subset",
+        "twin_n",
+        "verify_twins",
+    ),
+    "oracle": (
+        "FREE_COUNTS",
+        "ROOTED_COUNTS",
+        "OracleError",
+        "cayley_identity",
+        "center_fixed_check",
+        "embed_cross_check",
+        "endo_classification_sweep",
+        "equimorphy_is_isomorphy",
+        "free_trees",
+        "naive_automorphisms",
+        "naive_rooted_embeds",
+        "prufer_cross_check",
+        "prufer_tree",
+        "rooted_trees",
+        "run_oracle",
+        "unrooted_embeds",
+    ),
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -11,40 +11,20 @@ TERM is a term expression or a built-in name (box, ray, ex1..ex4); inputs
 starting with "lpath" are labelled paths.  Exit codes: 0 fine, 1 an
 answer stayed undecided under --strict, 2 parse or usage error, 3 oracle
 failure, 4 out of stack or memory (no verdict).
+
+Each command imports only the modules it uses, so `--help` and argument
+errors load no analysis module at all.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
-from .ends import shift_report
-from .finite_trees import canonical_code
-from .oracle import JOBS, OracleError, run_oracle
-from .ranks import RankUndecided, rank_summary
-from .stability import classify, twin_cardinality
-from .terms import (
-    TermError,
-    WSum,
-    builtins,
-    format_term,
-    resolve_name,
-    truncate,
-    truncation_dot,
-    truncation_json,
-)
-from .twins import (
-    analyze_lpath,
-    enumerate_lpath_twins,
-    format_lpath,
-    lpath_twin_count,
-    parse_lpath,
-    twin_from_subset,
-    twin_n,
-    verify_twins,
-)
+# the names of `oracle.JOBS`, kept here so that parsing arguments loads no
+# analysis module
+ORACLES = ("counts", "prufer", "cayley", "center", "endos", "embeds", "equimorphy")
 
 
 def _int_at_least(low):
@@ -65,6 +45,8 @@ def _is_lpath(text: str) -> bool:
 
 
 def _rank_payload(t):
+    from .ranks import RankUndecided, rank_summary
+
     try:
         return json.loads(rank_summary(t).to_json()), False
     except RankUndecided as e:
@@ -72,6 +54,9 @@ def _rank_payload(t):
 
 
 def _cmd_examples(args):
+    from .stability import classify
+    from .terms import builtins, format_term
+
     rows = []
     undecided = False
     for name, t in builtins().items():
@@ -86,6 +71,8 @@ def _cmd_examples(args):
 
 
 def _cmd_rank(args):
+    from .terms import format_term, resolve_name
+
     t = resolve_name(args.term)
     rank, undecided = _rank_payload(t)
     return {"term": format_term(t), "rank": rank}, undecided
@@ -93,8 +80,14 @@ def _cmd_rank(args):
 
 def _cmd_analyze(args):
     if _is_lpath(args.term):
+        from .twins import analyze_lpath, parse_lpath
+
         report = analyze_lpath(parse_lpath(args.term))
         return {"lpath": args.term.strip(), **report}, report["twin_count"] == "unknown"
+    from .ends import shift_report
+    from .stability import classify
+    from .terms import WSum, format_term, resolve_name
+
     t = resolve_name(args.term)
     payload = {"term": format_term(t)}
     rank, undecided = _rank_payload(t)
@@ -111,18 +104,26 @@ def _cmd_analyze(args):
 
 def _cmd_twins(args):
     if _is_lpath(args.term):
+        from .twins import enumerate_lpath_twins, format_lpath, lpath_twin_count, parse_lpath
+
         p = parse_lpath(args.term)
         count, reason = lpath_twin_count(p)
         payload = {"lpath": args.term.strip(), "cardinality": count, "reason": reason}
         if count != "unknown":
             payload["family"] = [format_lpath(q) for q in enumerate_lpath_twins(p, args.count)]
         return payload, count == "unknown"
+    from .stability import twin_cardinality
+    from .terms import format_term, resolve_name
+    from .twins import twin_from_subset, twin_n, verify_twins
+
     t = resolve_name(args.term)
     card, reason = twin_cardinality(t, args.horizon)
     payload = {"term": format_term(t), "cardinality": card, "reason": reason}
     undecided = card == "unknown"
     if card in ("infinite", "continuum"):
         if args.seed is not None:
+            import random
+
             rng = random.Random(args.seed)
             # keep offsets small: the verification cut depth and shift search
             # grow with the deepest patched position
@@ -142,6 +143,9 @@ def _cmd_twins(args):
 
 
 def _cmd_truncate(args):
+    from .finite_trees import canonical_code
+    from .terms import resolve_name, truncate, truncation_dot, truncation_json
+
     t = resolve_name(args.term)
     tr = truncate(t, args.depth, args.width)
     if args.format == "dot":
@@ -152,6 +156,8 @@ def _cmd_truncate(args):
 
 
 def _cmd_oracle(args):
+    from .oracle import run_oracle
+
     report = run_oracle(args.which)
     return {"oracle": report}, False
 
@@ -227,7 +233,7 @@ def main(argv=None) -> int:
         "which",
         nargs="?",
         default="all",
-        choices=(*JOBS, "all"),
+        choices=(*ORACLES, "all"),
         help="the oracle to run (default: all)",
     )
     common(p_or)
@@ -236,23 +242,33 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, undecided = args.func(args)
-    except TermError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OracleError as e:
-        print(f"oracle failure: {e}", file=sys.stderr)
-        return 3
     except (RecursionError, MemoryError) as e:
         # out of stack or memory: no verdict, so not the exit code of one
         print(f"error: {type(e).__name__}: the input is too large to analyze", file=sys.stderr)
         return 4
+    except Exception as e:
+        # a command raises these only after loading their modules
+        from .oracle import OracleError
+        from .terms import TermError
+
+        if isinstance(e, TermError):
+            print(f"error: {e}", file=sys.stderr)
+            return 2
+        if isinstance(e, OracleError):
+            print(f"oracle failure: {e}", file=sys.stderr)
+            return 3
+        raise
     if args.format == "json" and "_raw" not in payload:
         text = json.dumps(payload, indent=2)
     else:
         text = _render_text(payload)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            print(f"error: cannot write {args.out}: {e.strerror or e}", file=sys.stderr)
+            return 2
     else:
         print(text)
     return 1 if getattr(args, "strict", False) and undecided else 0

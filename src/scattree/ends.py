@@ -37,7 +37,7 @@ guess.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from types import MappingProxyType
 
 from .terms import (
@@ -67,20 +67,19 @@ class OriginUndefined(TermError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class ShiftReport:
+class ShiftReport(
+    namedtuple(
+        "ShiftReport",
+        "periods d eventual almost_rigid regular origin_index origin_error notes",
+    )
+):
     """Result of `shift_report`, read-only: one report is shared by every
-    caller that asks about the same term object and horizon.  `eventual`
-    maps a shift k to the offset from which it holds."""
+    caller that asks about the same term object and horizon.  `periods`
+    are the strict shifts found and `d` the least of them (None if none);
+    `eventual` maps a shift k to the offset from which it holds;
+    `origin_index` is None when `origin_error` says why."""
 
-    periods: tuple
-    d: int | None
-    eventual: MappingProxyType
-    almost_rigid: str
-    regular: str
-    origin_index: int | None
-    origin_error: str | None
-    notes: tuple
+    __slots__ = ()
 
     def to_json(self) -> str:
         return json.dumps(

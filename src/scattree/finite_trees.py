@@ -1,6 +1,6 @@
 """Concrete finite trees: canonical codes, isomorphism, rooted embedding,
-centers, automorphism enumeration, and the rotation/inversion classification
-of automorphisms.
+centers, automorphism enumeration and group orders, and the
+rotation/inversion classification of automorphisms.
 
 Embedding means induced subtree embedding.  Between trees the induced
 condition is free: an injective adjacency-preserving map sends every path to
@@ -11,8 +11,9 @@ forward condition needs checking.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import permutations
+from math import factorial
 
 
 class TreeError(ValueError):
@@ -112,14 +113,15 @@ class FiniteTree:
         return f"FiniteTree(n={self.n}, edges={self.edges()})"
 
 
-@dataclass(frozen=True)
-class RootedFiniteTree:
-    tree: FiniteTree
-    root: int
+class RootedFiniteTree(namedtuple("RootedFiniteTree", "tree root")):
+    """A FiniteTree with a root vertex; read-only."""
 
-    def __post_init__(self):
-        if not (0 <= self.root < self.tree.n):
+    __slots__ = ()
+
+    def __new__(cls, tree: FiniteTree, root: int):
+        if not (0 <= root < tree.n):
             raise TreeError("root out of range")
+        return super().__new__(cls, tree, root)
 
 
 def path_tree(n: int) -> FiniteTree:
@@ -279,6 +281,33 @@ def _child_groups(t, v, parent, codes, cache):
     return groups
 
 
+def _group_order(t, v, parent, codes, cache):
+    """Order of the automorphism group of the subtree at v cut above parent,
+    v fixed: each group of m equal-code children contributes
+    m! * |Aut(child)|^m."""
+    order = 1
+    for members in _child_groups(t, v, parent, codes, cache).values():
+        m = len(members)
+        order *= factorial(m) * _group_order(t, members[0], v, codes, cache) ** m
+    return order
+
+
+def automorphism_count(t: FiniteTree) -> int:
+    """|Aut(t)| by the product formula over AHU codes rooted at the center,
+    with no enumeration (Colbourn & Booth, SIAM J. Comput. 1981).  At an
+    edge center the two halves multiply, times 2 for the swap when their
+    codes are equal."""
+    kind, c = center(t)
+    codes, cache = {}, {}
+    if kind == "vertex":
+        return _group_order(t, c, None, codes, cache)
+    u, v = c
+    order = _group_order(t, u, v, codes, cache) * _group_order(t, v, u, codes, cache)
+    if _subcode(t, u, v, codes) == _subcode(t, v, u, codes):
+        order *= 2
+    return order
+
+
 def _iter_isos(ta, tb, roots):
     """Every isomorphism that maps, for each root pair (va, pa, vb, pb), the
     subtree of ta at va cut above pa onto the subtree of tb at vb cut above
@@ -379,10 +408,11 @@ def is_automorphism(t: FiniteTree, sigma) -> bool:
     return _automorphism_test(t)(sigma)
 
 
-@dataclass(frozen=True)
-class EndoClassification:
-    variant: str  # rotation | inversion | translation | ray_forward
-    evidence: object
+class EndoClassification(namedtuple("EndoClassification", "variant evidence")):
+    """`variant` is rotation | inversion | translation | ray_forward;
+    `evidence` the fixed vertex, reversed edge or displacement path."""
+
+    __slots__ = ()
 
 
 def automorphism_classifier(t: FiniteTree):

@@ -7,12 +7,15 @@ backtracking, and embeddings by brute-force injection search.  The test
 suite compares engine verdicts against these oracles and freezes the
 classical counts.
 
-Both automorphism searches stream: the naive backtracker here and the
-center-anchored enumerator of `finite_trees` each rewrite one image list
-in place and hand out one permutation at a time, and every sweep checks
-each permutation as it comes.  No group is held whole, so the sweeps run
-in memory independent of the group order (K(1,9) alone has 362880
-automorphisms).
+Group orders come from the product formula over AHU codes at the center
+(`finite_trees.automorphism_count`), with no enumeration; the Cayley and
+Prüfer checks use it.  Automorphisms are listed only where each one is
+checked: the center sweep streams the naive backtracker here, the
+classification sweep the center-anchored enumerator of `finite_trees`,
+and each compares its count per tree with the formula.  Both enumerators
+rewrite one image list in place and hand out one permutation at a time,
+so no group is held whole and the sweeps run in memory independent of
+the group order (K(1,9) alone has 362880 automorphisms).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .finite_trees import (
     FiniteTree,
     RootedFiniteTree,
     automorphism_classifier,
+    automorphism_count,
     canonical_code,
     center,
     iter_automorphisms,
@@ -123,10 +127,6 @@ def prufer_tree(seq, n: int) -> FiniteTree:
     return FiniteTree(n, edges)
 
 
-def automorphism_count(t: FiniteTree) -> int:
-    return sum(1 for _ in iter_automorphisms(t))
-
-
 def prufer_cross_check(n: int) -> dict:
     """Decode every Prüfer sequence on n vertices, bucket the labeled trees
     by isomorphism class, and verify (a) the class count matches the
@@ -220,8 +220,8 @@ def naive_automorphisms(t: FiniteTree):
 def center_fixed_check(max_n: int = 10) -> dict:
     """Every automorphism of every tree up to max_n vertices fixes the
     central vertex, or fixes-or-swaps the central edge.  Automorphisms come
-    from the naive backtracker, each checked as it is produced, so this
-    also cross-checks the streaming enumerator's group order."""
+    from the naive backtracker, each checked as it is produced, and their
+    number per tree must equal the group order from the product formula."""
     trees = autos = 0
     for n in range(1, max_n + 1):
         for t in free_trees(n):
@@ -246,14 +246,21 @@ def center_fixed_check(max_n: int = 10) -> dict:
 def endo_classification_sweep(max_n: int = 9) -> dict:
     """Classify every automorphism of every tree up to max_n vertices:
     each is a rotation (fixes a vertex) or an inversion (reverses an edge);
-    translations need an infinite axis and must never appear."""
+    translations need an infinite axis and must never appear.  The
+    automorphisms come from the center-anchored streaming enumerator, and
+    their number per tree must equal the group order from the product
+    formula."""
     counts = {"rotation": 0, "inversion": 0, "translation": 0}
     for n in range(1, max_n + 1):
         for t in free_trees(n):
             classify = automorphism_classifier(t)
+            size = 0
             for sigma in iter_automorphisms(t):
                 kind = classify(sigma).variant
                 counts[kind] = counts.get(kind, 0) + 1
+                size += 1
+            if size != automorphism_count(t):
+                raise OracleError(f"automorphism group sizes disagree on {t.to_json()}")
     if counts["translation"]:
         raise OracleError("a finite tree produced a translation")
     if set(counts) - {"rotation", "inversion", "translation"}:

@@ -20,7 +20,7 @@ and extrapolated; sequences that do not fit raise RankUndecided.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .ordinals import ONE, ZERO, Ordinal, format_ordinal, succ as ord_succ
 from .terms import (
@@ -53,17 +53,14 @@ class RankUndecided(TermError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class RankSummary:
+class RankSummary(namedtuple("RankSummary", "space_rank top_ends limit_flag")):
     """space_rank: least Cantor-Bendixson derivative that is empty.
     top_ends: how many ends sit at the last nonempty level (0, 1, 2, many).
     limit_flag: the rank is a limit realized only cofinally, never by an
     end at a top level.  Read-only: a top-level summary is shared by every
     caller that asks about the same term object."""
 
-    space_rank: Ordinal
-    top_ends: int | str
-    limit_flag: bool
+    __slots__ = ()
 
     def __repr__(self):
         return (

@@ -6,8 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from scattree.cli import main
+from scattree import oracle
+from scattree.cli import ORACLES, main
 from scattree.terms import parse_term
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 MALFORMED = (
     "wsum(patch([](box);(:box))",
@@ -95,10 +98,37 @@ def test_output_file(tmp_path, capsys):
     assert data["rank"]["rank"] == "1"
 
 
+def test_unwritable_output_file_is_a_usage_error(tmp_path):
+    # exit 1 would read as "undecided" under --strict
+    target = tmp_path / "missing" / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "scattree.cli", "rank", "ex1", "--strict", "--out", str(target)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_oracle_subcommand(capsys):
     assert main(["oracle", "counts"]) == 0
     out = capsys.readouterr().out
     assert "ok: True" in out
+
+
+def test_oracle_choices_are_the_jobs():
+    # the parser names the oracles without loading the oracle module
+    assert ORACLES == tuple(oracle.JOBS)
+
+
+def test_failed_oracle_exits_three(capsys, monkeypatch):
+    def fail():
+        raise oracle.OracleError("planted failure")
+
+    monkeypatch.setitem(oracle.JOBS, "counts", fail)
+    assert main(["oracle", "counts"]) == 3
+    assert capsys.readouterr().err == "oracle failure: planted failure\n"
 
 
 def test_parse_error_exits_two(capsys):
@@ -156,8 +186,7 @@ def test_malformed_term_exits_two(capsys, text):
 
 
 def test_malformed_term_prints_no_traceback():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-m", "scattree.cli", "rank", MALFORMED[0]],
         capture_output=True, text=True, env=env, timeout=60,

@@ -1,38 +1,75 @@
-"""Every name a package module imports at top level is read somewhere in it.
+"""Every name a package module imports is read somewhere in its scope, and
+each command loads only the modules it uses.
 
 An import left behind by a deletion keeps a dependency alive that nothing
-needs; this scan catches it without a linter.
+needs; this scan catches it without a linter.  A name imported at top level
+must be read somewhere in the module, one imported inside a function must be
+read in that function.
 """
 
 import ast
+import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import scattree
 
 PACKAGE = Path(scattree.__file__).parent
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _imported(statements):
+    for node in statements:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def _own_statements(function):
+    """Every node in the body of `function`, not entering nested functions."""
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, FUNCTIONS):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _read(scope):
+    return {
+        node.id
+        for node in ast.walk(scope)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
 
 
 def unused_imports(source):
     tree = ast.parse(source)
-    imported = {}
-    for node in tree.body:
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
-    read = {
-        node.id
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-    }
-    return sorted(name for name in imported if name not in read)
+    scopes = [(tree, tree.body)] + [
+        (node, _own_statements(node)) for node in ast.walk(tree) if isinstance(node, FUNCTIONS)
+    ]
+    unused = []
+    for scope, statements in scopes:
+        read = _read(scope)
+        unused.extend(name for name in _imported(statements) if name not in read)
+    return sorted(unused)
 
 
 def test_scan_finds_an_unused_import():
     assert unused_imports("import re\nfrom math import lcm, gcd\nx = lcm(2, 3)\n") == ["gcd", "re"]
     assert unused_imports("import os.path\nos.path.join('a')\n") == []
+    # a function-local import must be read in its own function
+    local = "def f():\n    from math import lcm\n    return 1\n\ndef g():\n    return lcm(2, 3)\n"
+    assert unused_imports(local) == ["lcm"]
+    assert unused_imports("def f():\n    if True:\n        import re\n        return re.escape('a')\n") == []
 
 
 def test_package_modules_read_every_import():
@@ -40,3 +77,107 @@ def test_package_modules_read_every_import():
     assert modules
     unused = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+# -- what each command loads ----------------------------------------------------
+
+# run one command in a fresh interpreter and list the modules it loaded
+PROBE = """
+import json, sys
+before = set(sys.modules)
+from scattree import cli
+try:
+    cli.main(sys.argv[1:])
+except SystemExit:
+    pass
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+COMMANDS = (
+    ["--help"],
+    ["oracle", "counts"],
+    ["rank", "ex3"],
+    ["examples"],
+    ["analyze", "ex1"],
+    ["analyze", "lpath oneway poset{0<a} prefix[] cycle(0,a)"],
+    ["twins", "ex1", "--count", "2", "--seed", "3"],
+    ["truncate", "ray", "--depth", "3"],
+    ["rank", "wsum("],
+)
+
+
+def loaded_by(argv):
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+@pytest.fixture(scope="module")
+def loaded():
+    return {tuple(argv): loaded_by(argv) for argv in COMMANDS}
+
+
+def test_help_loads_no_analysis_module(loaded):
+    names = loaded[("--help",)]
+    assert {name for name in names if name.split(".")[0] == "scattree"} == {"scattree", "scattree.cli"}
+
+
+def test_oracle_loads_no_term_module(loaded):
+    names = loaded[("oracle", "counts")]
+    assert "scattree.oracle" in names
+    for module in ("terms", "ranks", "ends", "stability", "twins"):
+        assert f"scattree.{module}" not in names
+
+
+def test_rank_loads_no_later_stage(loaded):
+    names = loaded[("rank", "ex3")]
+    assert "scattree.ranks" in names
+    for module in ("ends", "stability", "twins", "oracle"):
+        assert f"scattree.{module}" not in names
+
+
+def test_no_command_loads_dataclasses(loaded):
+    assert [argv for argv, names in loaded.items() if "dataclasses" in names] == []
+
+
+# the names `scattree` exported when it imported every submodule eagerly
+EXPORTS = {
+    "ordinals": "NotASuccessorError Ordinal OMEGA ONE ZERO format_ordinal parse_ordinal",
+    "finite_trees": "EndoClassification FiniteTree RootedFiniteTree TreeError automorphisms "
+    "canonical_code center classify_automorphism is_isomorphic iter_automorphisms path_tree "
+    "rooted_embeds star_tree unrooted_code",
+    "terms": "BOX Box ComponentSeq Context Generated NO Patched Periodic Succ Sup SupSeq Term "
+    "TermError Truncation UNKNOWN WSum YES address_distance builtins embeds equimorphic "
+    "expand_finite format_term height is_rayless join_address level parse_term resolve "
+    "resolve_name shift_seq spine_address stage truncate truncation_dot truncation_json "
+    "vertex_count",
+    "ranks": "MANY RankSummary RankUndecided build_rank_witness lim_member rank_summary",
+    "ends": "OriginUndefined ShiftReport origin_vertex regular_components shift_report",
+    "stability": "StabilityCertificate classify twin_cardinality",
+    "twins": "LabelledPath Poset almost_disjoint_family analyze_lpath displacements "
+    "enumerate_lpath_twins format_lpath least_shift_period lpath_embeds lpath_equimorphic "
+    "lpath_twin_count parse_lpath same_labelling shift_feasible twin_from_subset twin_n "
+    "verify_twins",
+    "oracle": "FREE_COUNTS ROOTED_COUNTS OracleError cayley_identity center_fixed_check "
+    "embed_cross_check endo_classification_sweep equimorphy_is_isomorphy free_trees "
+    "naive_automorphisms naive_rooted_embeds prufer_cross_check prufer_tree rooted_trees "
+    "run_oracle unrooted_embeds",
+}
+
+
+def test_every_export_resolves_to_its_module_attribute():
+    exported = []
+    for module_name, names in EXPORTS.items():
+        module = importlib.import_module(f"scattree.{module_name}")
+        for name in names.split():
+            scope = {}
+            exec(f"from scattree import {name}", scope)
+            assert scope[name] is getattr(module, name), name
+            exported.append(name)
+    assert sorted(scattree.__all__) == sorted(exported)
+    assert scattree.__version__ == "0.1.0"
+    with pytest.raises(AttributeError):
+        scattree.no_such_name

@@ -7,6 +7,7 @@ from scattree.finite_trees import (
     FiniteTree,
     RootedFiniteTree,
     canonical_code,
+    center,
     is_automorphism,
     iter_automorphisms,
     path_tree,
@@ -92,6 +93,34 @@ def test_naive_search_agrees_with_group_enumerator():
 
 def test_automorphism_count_of_star():
     assert automorphism_count(star_tree(4)) == 24  # leaves permute freely
+
+
+def test_group_order_formula_matches_enumeration():
+    for n in range(1, 11):
+        for t in free_trees(n):
+            assert automorphism_count(t) == sum(1 for _ in iter_automorphisms(t))
+
+
+DOUBLE_STAR = FiniteTree(8, ((0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (4, 6), (4, 7)))
+UNEQUAL_HALVES = FiniteTree(5, ((0, 1), (0, 2), (0, 3), (1, 4)))
+
+
+@pytest.mark.parametrize(
+    "tree, order",
+    [
+        (star_tree(9), 362880),  # K(1,9): 9!
+        (path_tree(6), 2),  # the flip of the center edge
+        (DOUBLE_STAR, 3 * 2 * 3 * 2 * 2),  # two K(1,3) joined at their centers, swapped
+        (UNEQUAL_HALVES, 2),  # edge center whose halves differ: no swap
+    ],
+)
+def test_group_order_formula_values(tree, order):
+    assert automorphism_count(tree) == order
+
+
+def test_pinned_trees_have_edge_centers():
+    assert center(DOUBLE_STAR) == ("edge", (0, 4))
+    assert center(UNEQUAL_HALVES) == ("edge", (0, 1))
 
 
 def test_center_fixed_by_all_automorphisms():
