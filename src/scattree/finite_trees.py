@@ -132,13 +132,15 @@ def star_tree(leaves: int) -> FiniteTree:
     return FiniteTree(leaves + 1, [(0, i + 1) for i in range(leaves)])
 
 
-def _children_order(t: FiniteTree, root: int):
-    """Parent map and a bottom-up vertex order for the rooted tree."""
-    parent = {root: None}
+def _children_order(t: FiniteTree, root: int, above=None):
+    """Parent map and a bottom-up vertex order for the tree rooted at root,
+    or, given a neighbour `above` of root, for the subtree at root cut
+    above it."""
+    parent = {root: above}
     order = [root]
     for u in order:
         for v in t.adj[u]:
-            if v not in parent:
+            if v != parent[u]:
                 parent[v] = u
                 order.append(v)
     return parent, order[::-1]
@@ -225,11 +227,15 @@ def _kuhn_match(n_left, n_right, compatible):
 
 
 def _subcode(t, v, parent, cache):
-    key = (v, parent)
-    if key not in cache:
-        kids = sorted(_subcode(t, w, v, cache) for w in t.adj[v] if w != parent)
-        cache[key] = "(" + "".join(kids) + ")"
-    return cache[key]
+    """AHU code of the subtree at v cut above parent.  A first call codes
+    every vertex of that subtree bottom-up into `cache`, keyed by (vertex,
+    parent), so later calls below v only read it."""
+    if (v, parent) not in cache:
+        up, bottom_up = _children_order(t, v, parent)
+        for u in bottom_up:
+            kids = sorted(cache[w, u] for w in t.adj[u] if w != up[u])
+            cache[u, up[u]] = "(" + "".join(kids) + ")"
+    return cache[v, parent]
 
 
 def rooted_embeds(a: RootedFiniteTree, b: RootedFiniteTree, memo=None) -> bool:
@@ -284,12 +290,18 @@ def _child_groups(t, v, parent, codes, cache):
 def _group_order(t, v, parent, codes, cache):
     """Order of the automorphism group of the subtree at v cut above parent,
     v fixed: each group of m equal-code children contributes
-    m! * |Aut(child)|^m."""
-    order = 1
-    for members in _child_groups(t, v, parent, codes, cache).values():
-        m = len(members)
-        order *= factorial(m) * _group_order(t, members[0], v, codes, cache) ** m
-    return order
+    m! * |Aut(child)|^m.  Computed bottom-up, after one pass codes the
+    subtree."""
+    _subcode(t, v, parent, codes)
+    up, bottom_up = _children_order(t, v, parent)
+    order = {}
+    for u in bottom_up:
+        n = 1
+        for members in _child_groups(t, u, up[u], codes, cache).values():
+            m = len(members)
+            n *= factorial(m) * order[members[0]] ** m
+        order[u] = n
+    return order[v]
 
 
 def automorphism_count(t: FiniteTree) -> int:

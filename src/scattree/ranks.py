@@ -41,7 +41,7 @@ from .terms import (
     WSum,
     analysis_cache,
     components,
-    is_rayless,
+    fold,
     resolve,
     stage,
 )
@@ -99,7 +99,7 @@ def _union(parts):
     """Rank summary of a finite disjoint union of (summary, multiplicity)."""
     parts = [(s, m) for s, m in parts]
     if not parts:
-        return RankSummary(ZERO, 0, False)
+        return _NO_ENDS
     rank = max(s.space_rank for s, _ in parts)
     top = 0
     for s, m in parts:
@@ -109,43 +109,60 @@ def _union(parts):
     return RankSummary(rank, top, limit)
 
 
-def rank_summary(t: Term, _memo=None) -> RankSummary:
-    """Rank summary of the end space of t.  A top-level call caches the
-    summary on the term object (`analysis_cache`), so repeated calls on one
-    object share one result."""
-    if _memo is None:
-        cache = analysis_cache(t)
-        if "rank" not in cache:
-            cache["rank"] = _rank_summary(t, {})
-        return cache["rank"]
-    if t in _memo:
-        return _memo[t]
-    out = _rank_summary(t, _memo)
-    _memo[t] = out
-    return out
+_NO_ENDS = RankSummary(ZERO, 0, False)  # the summary of every rayless term
 
 
-def _rank_summary(t, memo):
-    if is_rayless(t):
-        return RankSummary(ZERO, 0, False)
-    if isinstance(t, Succ):
-        return rank_summary(t.child, memo)
-    if isinstance(t, Sup):
-        return _union((rank_summary(a, memo), m) for a, m in t.arms)
-    if isinstance(t, SupSeq):
-        return _union(_parts(t.seq, memo))
-    if isinstance(t, WSum):
-        parts = _parts(t.seq, memo)
-        # sigma: the sup of the ranks realized by infinitely many components
-        sigma = max((s.space_rank for s, m in parts if m == OMEGA_MULT), default=ZERO)
-        spine = ord_succ(sigma)  # the rank of the spine's own end
-        rank = max([spine] + [s.space_rank for s, m in parts if m == 1])
-        top = 1 if rank == spine else 0
-        for s, m in parts:
-            if m == 1 and s.space_rank == rank:
-                top = _add_tops(top, s.top_ends)
-        return RankSummary(rank, top, top == 0)
-    raise TermError(f"bad term {t!r}")
+def rank_summary(t: Term) -> RankSummary:
+    """Rank summary of the end space of t, computed children first
+    (`terms.fold`).  The summary is cached on the term object
+    (`analysis_cache`), so repeated calls on one object share one result."""
+    cache = analysis_cache(t)
+    if "rank" not in cache:
+        cache["rank"] = _NO_ENDS if t.rayless else fold(t, _rank_inputs, _rank_of, {})
+    return cache["rank"]
+
+
+def _rank_inputs(x):
+    """The nodes whose summaries x's summary is made from, rayless terms
+    left out: subterms, and for a generated tail (a node of its own) its
+    stages 0..3."""
+    if isinstance(x, Generated):
+        return _with_ends(stage(x, n) for n in range(4))
+    if isinstance(x, Succ):
+        return [x.child]  # x has ends, so its child has
+    if isinstance(x, Sup):
+        return _with_ends(a for a, _ in x.arms)
+    once, recurring, gen = components(x.seq)
+    return _with_ends(recurring) + ([] if gen is None else [gen]) + _with_ends(c for _, c in once)
+
+
+def _with_ends(terms):
+    return [t for t in terms if not t.rayless]
+
+
+def _summary(t, memo):
+    return _NO_ENDS if t.rayless else memo[t]
+
+
+def _rank_of(x, _, memo):
+    if isinstance(x, Generated):
+        return _fit_recurrence(x, memo)
+    if isinstance(x, Succ):
+        return memo[x.child]
+    if isinstance(x, Sup):
+        return _union((_summary(a, memo), m) for a, m in x.arms)
+    parts = _parts(x.seq, memo)
+    if isinstance(x, SupSeq):
+        return _union(parts)
+    # sigma: the sup of the ranks realized by infinitely many components
+    sigma = max((s.space_rank for s, m in parts if m == OMEGA_MULT), default=ZERO)
+    spine = ord_succ(sigma)  # the rank of the spine's own end
+    rank = max([spine] + [s.space_rank for s, m in parts if m == 1])
+    top = 1 if rank == spine else 0
+    for s, m in parts:
+        if m == 1 and s.space_rank == rank:
+            top = _add_tops(top, s.top_ends)
+    return RankSummary(rank, top, top == 0)
 
 
 def _parts(seq, memo):
@@ -156,13 +173,13 @@ def _parts(seq, memo):
     also reaches.  When the stage ranks grow, the tail's part is their
     sup, a limit realized by no single end."""
     once, recurring, gen = components(seq)
-    parts = [(rank_summary(x, memo), OMEGA_MULT) for x in recurring]
+    parts = [(_summary(x, memo), OMEGA_MULT) for x in recurring]
     if gen is not None:
-        kind, data = _fit_recurrence(gen, memo)
+        kind, data = memo[gen]
         if kind == "growing":
             data = RankSummary(data, 0, True)
         parts.append((data, OMEGA_MULT))
-    return parts + [(rank_summary(x, memo), 1) for _, x in once]
+    return parts + [(_summary(x, memo), 1) for _, x in once]
 
 
 def _fit_recurrence(seq: Generated, memo):
@@ -170,7 +187,7 @@ def _fit_recurrence(seq: Generated, memo):
     extrapolate.  Returns ('stable', summary-of-eventual-stage) or
     ('growing', limit-ordinal-sup)."""
     delta = 1 if seq.context.hole_under_wsum_cycle() else 0
-    summaries = [rank_summary(stage(seq, n), memo) for n in range(4)]
+    summaries = [_summary(stage(seq, n), memo) for n in range(4)]
     r = [s.space_rank for s in summaries]
     if delta == 0:
         if not (r[1] == r[2] == r[3] and r[1] >= r[0]):

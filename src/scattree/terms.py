@@ -15,9 +15,15 @@ single end is the distinguished end.  `supseq` identifies the roots of the
 whole component sequence.  `patch` overrides finitely many positions of a
 sequence and exists so that twin constructions stay expressible as terms.
 
-Everything is immutable with precomputed hashes, so structurally shared
-expansions (stage n of a generated sequence references stage n-1, not a
-copy) stay cheap to hash and compare.
+Everything is immutable, and each term node computes its hash and its
+measures (single vertex, rayless, vertex count, height, root degree) once,
+in its constructor, from its children's.  Substitution into a context
+rebuilds only the nodes on the path to the hole and shares every hole-free
+subterm, so structurally shared expansions (stage n of a generated
+sequence references stage n-1, not a copy) stay cheap to build, hash,
+compare and measure.  Walks over a whole term (formatting, ranks, cuts)
+run from explicit stacks, since terms may nest far deeper than Python's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -80,6 +86,13 @@ def _same_structure(a, b) -> bool:
 
 
 class Term:
+    """A term node.  Its hash and its measure fields are computed in the
+    constructor from its children's, so reading them costs no walk:
+    `single` (the tree is one vertex), `rayless`, `size` (vertex count, or
+    INF), `height` (max root distance, or INF) and `degree` (number of root
+    neighbours, an int or 'w').  A field that is the same for every node
+    of a class is a class attribute, the others are slots."""
+
     # _analyses: whole-term analysis results of this object, created on
     # first use by analysis_cache
     __slots__ = ("_hash", "_analyses")
@@ -100,6 +113,8 @@ class Term:
 
 class Box(Term):
     __slots__ = ()
+    single = rayless = True
+    size, height, degree = 1, 0, 0
 
     def __init__(self):
         self._hash = hash("box")
@@ -112,50 +127,100 @@ BOX = Box()
 
 
 class Succ(Term):
-    __slots__ = ("child",)
+    __slots__ = ("child", "rayless", "size", "height")
+    single, degree = False, 1
 
     def __init__(self, child: Term):
         self.child = child
         self._hash = hash(("succ", child._hash))
+        self.rayless = child.rayless
+        self.size = child.size + 1
+        self.height = child.height + 1
 
     def _key(self):
         return (self.child,)
 
 
 class Sup(Term):
-    __slots__ = ("arms",)
+    __slots__ = ("arms", "single", "rayless", "size", "height", "degree")
 
     def __init__(self, arms):
-        arms = tuple((t, m) for t, m in arms)
+        arms = tuple([(t, m) for t, m in arms])
         if not arms:
             raise TermError("sup needs at least one arm")
+        # the hash and the measures in one pass over the arms: parsing
+        # builds many small sups, so construction is hot
+        keys = []
+        single = rayless = True
+        height, size, degree = 0, 1, 0
         for t, m in arms:
             if m != OMEGA_MULT and (not isinstance(m, int) or m < 1):
                 raise TermError("arm multiplicity must be a positive integer or w")
+            keys.append((t._hash, m))
+            if not t.rayless:
+                rayless = False
+            if t.height > height:
+                height = t.height
+            if t.single:
+                continue  # a single vertex is the shared root itself
+            single = False
+            if m == OMEGA_MULT:
+                size, degree = INF, OMEGA_MULT
+            else:
+                size += m * (t.size - 1)
+                if degree != OMEGA_MULT:
+                    degree = OMEGA_MULT if t.degree == OMEGA_MULT else degree + m * t.degree
         self.arms = arms
-        self._hash = hash(("sup", tuple((t._hash, m) for t, m in arms)))
+        self._hash = hash(("sup", tuple(keys)))
+        self.single, self.rayless, self.height, self.size, self.degree = single, rayless, height, size, degree
 
     def _key(self):
         return self.arms
 
 
 class WSum(Term):
-    __slots__ = ("seq",)
+    __slots__ = ("seq", "degree")
+    single = rayless = False
+    size = height = INF
 
     def __init__(self, seq):
         self.seq = seq
         self._hash = hash(("wsum", seq._hash))
+        d = seq.first.degree
+        self.degree = d if d == OMEGA_MULT else d + 1  # component 0, then the spine
 
     def _key(self):
         return (self.seq,)
 
 
 class SupSeq(Term):
-    __slots__ = ("seq",)
+    __slots__ = ("seq", "single", "rayless", "size", "height", "degree")
 
     def __init__(self, seq):
         self.seq = seq
         self._hash = hash(("supseq", seq._hash))
+        once, recurring, gen = components(seq)
+        once = [t for _, t in once]
+        # the components that recur forever; a Hole measures as a box, so a
+        # context shape measures as context.subst(BOX), and with the base it
+        # stands for every generated stage
+        again = list(recurring) if gen is None else [*recurring, gen.base, gen.context.shape]
+        self.single = all(t.single for t in once + again)
+        self.rayless = all(t.rayless for t in once + again)
+        # height(C[t]) = max(height(t), height(C[box])) when the hole sits at
+        # depth 0, so no stage outgrows the base and the shape; a hole at
+        # depth d >= 1 puts stage n at least n * d high
+        if gen is not None and gen.context.hole_depth():
+            self.height = INF
+        else:
+            self.height = max(t.height for t in once + again)
+        if all(t.single for t in again):
+            # only the finitely many other components hang below the root
+            self.size = 1 + sum(t.size - 1 for t in once)
+            degrees = [t.degree for t in once]
+            self.degree = OMEGA_MULT if OMEGA_MULT in degrees else sum(degrees)
+        else:
+            self.size, self.degree = INF, OMEGA_MULT  # a root neighbour recurs forever
 
     def _key(self):
         return (self.seq,)
@@ -176,7 +241,8 @@ def analysis_cache(t: Term) -> dict:
 # -- component sequences ------------------------------------------------------
 
 class ComponentSeq:
-    __slots__ = ("_hash",)
+    # first: component 0, which a wsum's root degree reads
+    __slots__ = ("_hash", "first")
 
     def __eq__(self, other):
         if self is other:
@@ -204,6 +270,7 @@ class Periodic(ComponentSeq):
         self.cycle = tuple(cycle)
         if not self.cycle:
             raise TermError("cycle must be nonempty")
+        self.first = (self.prefix or self.cycle)[0]
         self._hash = hash(
             ("periodic", tuple(t._hash for t in self.prefix), tuple(t._hash for t in self.cycle))
         )
@@ -219,6 +286,7 @@ class Generated(ComponentSeq):
         self.base = base
         self.context = context
         self._stages = [base]
+        self.first = base
         self._hash = hash(("generated", base._hash, context._hash))
 
     def _key(self):
@@ -242,6 +310,7 @@ class Patched(ComponentSeq):
                 raise TermError("patch positions must be >= 0")
         self._hash = hash(("patched", inner._hash, tuple((n, t._hash) for n, t in self.patches)))
         self._map = dict(self.patches)
+        self.first = self._map.get(0, inner.first)
         self._stage_index = {}  # patched position -> _effective_stage_index
 
     def _key(self):
@@ -256,14 +325,50 @@ class Patched(ComponentSeq):
 
 
 class Context:
-    """A term shape with exactly one hole; substitution plugs a term in."""
+    """A term shape with exactly one hole; substitution plugs a term in.
 
-    __slots__ = ("shape", "_hash")
+    The constructor walks the shape once, from an explicit stack (a parsed
+    shape may nest deeper than Python's recursion limit): it counts the
+    holes, rejects generated sequences and supseq, and records `path`, the
+    (node, index) steps from the root to the hole.  The index is the arm of
+    a sup, the position in prefix + cycle of a wsum, and 0 under a succ.
+    Every hole query reads that path."""
+
+    __slots__ = ("shape", "path", "_hash")
 
     def __init__(self, shape):
-        holes = _count_holes(shape)
+        holes, found = 0, None
+        stack = [(shape, None)]  # (node, the steps to it as a linked list)
+        while stack:
+            t, steps = stack.pop()
+            if isinstance(t, Box):
+                continue
+            if isinstance(t, Hole):
+                holes += 1
+                found = steps
+                continue
+            if isinstance(t, Succ):
+                below = [t.child]
+            elif isinstance(t, Sup):
+                # multiplicity is substitution fan-out, not extra hole slots
+                below = [a for a, _ in t.arms]
+            elif isinstance(t, WSum) and isinstance(t.seq, Periodic):
+                below = t.seq.prefix + t.seq.cycle
+            elif isinstance(t, WSum):
+                raise TermError("contexts cannot contain generated sequences")
+            elif isinstance(t, SupSeq):
+                raise TermError("contexts cannot contain supseq")
+            else:
+                raise TermError(f"bad context node {t!r}")
+            # pushed right to left, so the first bad node is reported
+            stack.extend((below[i], (steps, t, i)) for i in reversed(range(len(below))))
         if holes != 1:
             raise TermError(f"context must have exactly one hole, found {holes}")
+        path = []
+        while found is not None:
+            found, node, i = found
+            path.append((node, i))
+        self.path = tuple(reversed(path))
         self.shape = shape
         self._hash = hash(("context", shape._hash))
 
@@ -277,26 +382,55 @@ class Context:
         return format_term(self.shape)
 
     def subst(self, t: Term) -> Term:
-        return _subst(self.shape, t)
+        """The shape with t in the hole.  Only the nodes on the hole path
+        are rebuilt; every hole-free subterm is the shape's own object."""
+        for node, i in reversed(self.path):
+            if isinstance(node, Succ):
+                t = Succ(t)
+            elif isinstance(node, Sup):
+                arms = list(node.arms)
+                arms[i] = (t, arms[i][1])
+                t = Sup(arms)
+            else:
+                k = len(node.seq.prefix)
+                entries = list(node.seq.prefix + node.seq.cycle)
+                entries[i] = t
+                t = WSum(Periodic(entries[:k], entries[k:]))
+        return t
 
     def hole_depth(self):
         """Edge distance from the context root to the hole's root position
         (sup arms add nothing: roots are identified)."""
-        return _hole_depth(self.shape)
+        return sum(
+            1 if isinstance(node, Succ) else i if isinstance(node, WSum) else 0
+            for node, i in self.path
+        )
 
     def hole_under_wsum_cycle(self):
-        return _hole_in_cycle(self.shape)
+        return any(isinstance(node, WSum) and i >= len(node.seq.prefix) for node, i in self.path)
 
     def hole_under_sup_branch(self):
         """Is there a sup node on the hole path whose other content guarantees
         a branching vertex above (or at) every substituted copy?  True when
         the hole's arm has multiplicity >= 2 or a sibling arm has a
         non-single-vertex term."""
-        return _hole_branch(self.shape)
+        for node, i in self.path:
+            if isinstance(node, Sup):
+                m = node.arms[i][1]
+                if m == OMEGA_MULT or m >= 2:
+                    return True
+                if any(not a.single for j, (a, _) in enumerate(node.arms) if j != i):
+                    return True
+        return False
 
 
 class Hole(Term):
+    """The hole of a context shape.  It measures as a box, so a shape's
+    measure fields are those of the shape with a box plugged in."""
+
     __slots__ = ()
+    single = rayless = True
+    size, height, degree = 1, 0, 0
 
     def __init__(self):
         self._hash = hash("hole")
@@ -308,148 +442,55 @@ class Hole(Term):
 HOLE = Hole()
 
 
-def _count_holes(t):
-    """Holes in a context shape, from an explicit stack (a parsed shape may
-    nest deeper than Python's recursion limit); nodes are visited left to
-    right, so the first bad one is reported."""
-    holes = 0
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Hole):
-            holes += 1
-        elif isinstance(t, Succ):
-            stack.append(t.child)
-        elif isinstance(t, Sup):
-            # multiplicity is substitution fan-out, not extra hole slots
-            stack.extend(a for a, _ in reversed(t.arms))
-        elif isinstance(t, WSum):
-            seq = t.seq
-            if not isinstance(seq, Periodic):
-                raise TermError("contexts cannot contain generated sequences")
-            stack.extend(reversed(seq.prefix + seq.cycle))
-        elif isinstance(t, SupSeq):
-            raise TermError("contexts cannot contain supseq")
-        elif not isinstance(t, Box):
-            raise TermError(f"bad context node {t!r}")
-    return holes
-
-
-def _subst(t, repl):
-    if isinstance(t, Hole):
-        return repl
-    if isinstance(t, Box):
-        return t
-    if isinstance(t, Succ):
-        return Succ(_subst(t.child, repl))
-    if isinstance(t, Sup):
-        return Sup(tuple((_subst(a, repl), m) for a, m in t.arms))
-    if isinstance(t, WSum):
-        seq = t.seq
-        return WSum(
-            Periodic(
-                tuple(_subst(x, repl) for x in seq.prefix),
-                tuple(_subst(x, repl) for x in seq.cycle),
-            )
-        )
-    raise TermError(f"bad context node {t!r}")
-
-
-def _hole_path(t):
-    """Steps from the context root to the hole, or None if absent."""
-    if isinstance(t, Hole):
-        return []
-    if isinstance(t, Box):
-        return None
-    if isinstance(t, Succ):
-        sub = _hole_path(t.child)
-        return None if sub is None else [("succ",)] + sub
-    if isinstance(t, Sup):
-        for i, (a, m) in enumerate(t.arms):
-            sub = _hole_path(a)
-            if sub is not None:
-                return [("sup", t, i)] + sub
-        return None
-    if isinstance(t, WSum):
-        seq = t.seq
-        for i, x in enumerate(seq.prefix):
-            sub = _hole_path(x)
-            if sub is not None:
-                return [("wsum-prefix", t, i)] + sub
-        for i, x in enumerate(seq.cycle):
-            sub = _hole_path(x)
-            if sub is not None:
-                return [("wsum-cycle", t, i)] + sub
-        return None
-    return None
-
-
-def _hole_depth(shape):
-    depth = 0
-    for step in _hole_path(shape):
-        kind = step[0]
-        if kind == "succ":
-            depth += 1
-        elif kind == "wsum-prefix":
-            depth += step[2]
-        elif kind == "wsum-cycle":
-            depth += len(step[1].seq.prefix) + step[2]
-    return depth
-
-
-def _hole_in_cycle(shape):
-    return any(step[0] == "wsum-cycle" for step in _hole_path(shape))
-
-
-def _hole_branch(shape):
-    for step in _hole_path(shape):
-        if step[0] != "sup":
-            continue
-        sup, idx = step[1], step[2]
-        _, m = sup.arms[idx]
-        if m == OMEGA_MULT or m >= 2:
-            return True
-        for j, (a, mj) in enumerate(sup.arms):
-            if j != idx and not is_single_vertex(a):
-                return True
-    return False
-
-
 # -- formatting ---------------------------------------------------------------
 
-def format_term(t: Term) -> str:
-    if isinstance(t, Box):
-        return "box"
-    if isinstance(t, Hole):
-        return "_"
-    if isinstance(t, Succ):
-        return f"succ({format_term(t.child)})"
-    if isinstance(t, Sup):
-        parts = []
-        for a, m in t.arms:
-            if m == 1:
-                parts.append(format_term(a))
-            else:
-                parts.append(f"{format_term(a)}*{m}")
-        return "sup(" + ",".join(parts) + ")"
-    if isinstance(t, WSum):
-        return f"wsum({format_seq(t.seq)})"
-    if isinstance(t, SupSeq):
-        return f"supseq({format_seq(t.seq)})"
-    raise TermError(f"cannot format {t!r}")
+def format_term(t) -> str:
+    """The text of a term or sequence in the grammar above.  It is written
+    from an explicit stack of pieces, each a text or a node still to write,
+    so any nesting depth prints without Python recursion."""
+    out = []
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, str):
+            out.append(x)
+        else:
+            stack.extend(reversed(_pieces(x)))
+    return "".join(out)
 
 
-def format_seq(seq: ComponentSeq) -> str:
-    if isinstance(seq, Periodic):
-        pre = ",".join(format_term(t) for t in seq.prefix)
-        cyc = ",".join(format_term(t) for t in seq.cycle)
-        return f"[{pre}]({cyc})"
-    if isinstance(seq, Generated):
-        return f"gen({format_term(seq.base)};{format_term(seq.context.shape)})"
-    if isinstance(seq, Patched):
-        pt = ",".join(f"{n}:{format_term(t)}" for n, t in seq.patches)
-        return f"patch({format_seq(seq.inner)};{pt})"
-    raise TermError(f"cannot format {seq!r}")
+format_seq = format_term
+
+
+def _pieces(x):
+    """x as texts and the child nodes between them, left to right."""
+    if isinstance(x, Box):
+        return ["box"]
+    if isinstance(x, Hole):
+        return ["_"]
+    if isinstance(x, Succ):
+        return ["succ(", x.child, ")"]
+    if isinstance(x, Sup):
+        return ["sup(", *_separated([a] if m == 1 else [a, f"*{m}"] for a, m in x.arms), ")"]
+    if isinstance(x, (WSum, SupSeq)):
+        return ["wsum(" if isinstance(x, WSum) else "supseq(", x.seq, ")"]
+    if isinstance(x, Periodic):
+        return ["[", *_separated([t] for t in x.prefix), "](", *_separated([t] for t in x.cycle), ")"]
+    if isinstance(x, Generated):
+        return ["gen(", x.base, ";", x.context.shape, ")"]
+    if isinstance(x, Patched):
+        return ["patch(", x.inner, ";", *_separated([f"{n}:", t] for n, t in x.patches), ")"]
+    raise TermError(f"cannot format {x!r}")
+
+
+def _separated(items):
+    """The pieces of each item, with commas between the items."""
+    out = []
+    for item in items:
+        if out:
+            out.append(",")
+        out += item
+    return out
 
 
 # -- parsing ------------------------------------------------------------------
@@ -704,16 +745,6 @@ def shift_seq(seq: ComponentSeq, k: int) -> ComponentSeq:
 
 # -- structural measures ------------------------------------------------------
 
-def is_single_vertex(t: Term) -> bool:
-    if isinstance(t, Box):
-        return True
-    if isinstance(t, Sup):
-        return all(is_single_vertex(a) for a, _ in t.arms)
-    if isinstance(t, SupSeq):
-        return _seq_all_single(t.seq)
-    return False
-
-
 def components(seq):
     """The layout of a component sequence as (once, recurring, generated):
     `once`, the (position, term) pairs, in position order, of the prefix
@@ -739,133 +770,29 @@ def settled_from(seq) -> int:
     return once[-1][0] + 1 if once else 0
 
 
-def _members(seq):
-    """The component terms of seq other than generated stages, and the
-    generated sequence or None."""
-    once, recurring, gen = components(seq)
-    return [t for _, t in once] + list(recurring), gen
-
-
-def _seq_all_single(seq) -> bool:
-    members, gen = _members(seq)
-    return all(is_single_vertex(t) for t in members) and _gen_single(gen)
-
-
-def _gen_single(gen) -> bool:
-    """Is every stage of the generated sequence (or of None) a single vertex?"""
-    return gen is None or is_single_vertex(gen.base) and is_single_vertex(gen.context.subst(BOX))
+def is_single_vertex(t: Term) -> bool:
+    return t.single
 
 
 def is_rayless(t: Term) -> bool:
     """No ray at all: equivalent to containing no wsum node, since a supseq of
     rayless arms keeps every descent inside one arm."""
-    if isinstance(t, (Box, Hole)):
-        return True
-    if isinstance(t, Succ):
-        return is_rayless(t.child)
-    if isinstance(t, Sup):
-        return all(is_rayless(a) for a, _ in t.arms)
-    if isinstance(t, WSum):
-        return False
-    if isinstance(t, SupSeq):
-        return _seq_rayless(t.seq)
-    raise TermError(f"bad term {t!r}")
-
-
-def _seq_rayless(seq) -> bool:
-    members, gen = _members(seq)
-    return all(is_rayless(t) for t in members) and (
-        gen is None or is_rayless(gen.base) and is_rayless(gen.context.subst(BOX))
-    )
+    return t.rayless
 
 
 def vertex_count(t: Term):
     """Exact vertex count, or INF for infinite trees."""
-    if isinstance(t, Box):
-        return 1
-    if isinstance(t, Succ):
-        return 1 + vertex_count(t.child)
-    if isinstance(t, Sup):
-        total = 1
-        for a, m in t.arms:
-            below = vertex_count(a) - 1
-            if below == 0:
-                continue
-            if m == OMEGA_MULT:
-                return INF
-            total += m * below
-        return total
-    if isinstance(t, SupSeq):
-        # finite when the components that repeat (the cycle, a generated
-        # tail) are single vertices; the finitely many others hang below
-        once, recurring, gen = components(t.seq)
-        if not (all(is_single_vertex(c) for c in recurring) and _gen_single(gen)):
-            return INF
-        return 1 + sum(vertex_count(c) - 1 for _, c in once)
-    if isinstance(t, WSum):
-        return INF
-    raise TermError(f"bad term {t!r}")
+    return t.size
 
 
 def height(t: Term):
     """Exact height (max root distance), or INF."""
-    if isinstance(t, Box):
-        return 0
-    if isinstance(t, Succ):
-        h = height(t.child)
-        return INF if h == INF else 1 + h
-    if isinstance(t, Sup):
-        return max(height(a) for a, _ in t.arms)
-    if isinstance(t, WSum):
-        return INF
-    if isinstance(t, SupSeq):
-        members, gen = _members(t.seq)
-        hs = [height(x) for x in members]
-        if gen is not None:
-            if gen.context.hole_depth() != 0 or _hole_in_cycle(gen.context.shape):
-                return INF
-            # with the hole at the root a stage is as high as the one before
-            # or the rest of the context, so heights settle after one step
-            stages = [height(stage(gen, i)) for i in range(4)]
-            if not stages[1] == stages[2] == stages[3]:
-                return INF
-            hs += stages
-        return max(hs)
-    raise TermError(f"bad term {t!r}")
+    return t.height
 
 
 def root_degree(t: Term):
     """Number of neighbors of the root; int or 'w'."""
-    if isinstance(t, Box):
-        return 0
-    if isinstance(t, Succ):
-        return 1
-    if isinstance(t, Sup):
-        total = 0
-        for a, m in t.arms:
-            d = root_degree(a)
-            if d == 0:
-                continue
-
-            if m == OMEGA_MULT or d == "w":
-                return "w"
-            total += m * d
-        return total
-    if isinstance(t, WSum):
-        d = root_degree(stage(t.seq, 0))
-        return "w" if d == "w" else d + 1
-    if isinstance(t, SupSeq):
-        once, recurring, gen = components(t.seq)
-        if not (all(is_single_vertex(x) for x in recurring) and _gen_single(gen)):
-            return "w"  # a root neighbour repeats forever
-        total = 0
-        for _, x in once:
-            d = root_degree(x)
-            if d == "w":
-                return "w"
-            total += d
-        return total
-    raise TermError(f"bad term {t!r}")
+    return t.degree
 
 
 def branch_count(t: Term):
@@ -887,13 +814,13 @@ def branch_count(t: Term):
             return None
         # A cycle component with any child makes its spine vertex branch
         # (child + next spine vertex), and that recurs forever.
-        if any(not is_single_vertex(x) for x in recurring):
+        if any(not x.single for x in recurring):
             return INF
         # a spine vertex branches when its component has a child
         best = 0
         running = 0  # branching spine vertices before this one
         for _, x in once:
-            if is_single_vertex(x):
+            if x.single:
                 continue
             kids = root_children(x)
             if kids is None:
@@ -910,18 +837,18 @@ def branch_count(t: Term):
             running += 1
         return best
     if isinstance(t, SupSeq):
-        members, gen = _members(t.seq)
+        once, recurring, gen = components(t.seq)
         if gen is not None:
             return None
         kids = []
-        for x in members:
-            if is_single_vertex(x):
+        for x in [*(c for _, c in once), *recurring]:
+            if x.single:
                 continue
             sub = root_children(x)
             if sub is None:
                 return None
             kids.extend(sub)
-        rd = root_degree(t)
+        rd = t.degree
         here = 1 if (rd == "w" or rd >= 2) else 0
         best = 0
         for c, _ in kids:
@@ -983,6 +910,32 @@ def root_children(t: Term):
     raise TermError(f"bad term {t!r}")
 
 
+# -- children-first walks ----------------------------------------------------
+
+def fold(root, children, combine, memo):
+    """The value of `root`, computed children first from an explicit stack,
+    so a term may nest far deeper than Python's recursion limit.
+    `children(x)` lists the nodes that x's value depends on, in the order
+    they are evaluated; `combine(x, kids, memo)` returns x's value, where
+    `kids` is what children(x) returned and each of them has its value in
+    `memo`.  `memo` maps nodes to values; it may start filled, and every
+    node evaluated is left in it."""
+    stack = [(root, None)]  # (node, its children once they are pushed)
+    while stack:
+        x, kids = stack.pop()
+        if kids is None:
+            if x in memo:
+                continue
+            kids = children(x)
+            todo = [(k, None) for k in kids if k not in memo]
+            if todo:
+                stack.append((x, kids))
+                stack.extend(reversed(todo))
+                continue
+        memo[x] = combine(x, kids, memo)
+    return memo[root]
+
+
 # -- truncation ---------------------------------------------------------------
 
 class Truncation:
@@ -1002,65 +955,60 @@ class Truncation:
 def truncate(t: Term, depth: int, width: int = 3) -> Truncation:
     """Induced subtree of all vertices within `depth` of the root.  Omega
     multiplicities and supseq families are cut to `width` copies and flagged
-    lossy when that hides anything."""
+    lossy when that hides anything.  Vertices are numbered depth first,
+    from an explicit stack of tasks, so a deep cut needs no Python
+    recursion."""
     if depth < 0:
         raise TermError("depth must be >= 0")
     edges = []
     spine = []
-    lossy = [False]
-    counter = [0]
-
-    def fresh():
-        v = counter[0]
-        counter[0] += 1
-        return v
-
-    def build_into(term, v, budget):
-        if isinstance(term, Box):
-            return
+    lossy = False
+    n = 1  # vertices made so far; 0 is the root
+    # tasks, the next on top: (term, v, budget) hangs the cut of term at
+    # vertex v; (seq, j, v, budget) hangs spine vertex j of wsum(seq) below
+    # spine vertex v, with budget the depth left at that wsum's root
+    stack = [(t, 0, depth)]
+    while stack:
+        task = stack.pop()
+        if len(task) == 4:
+            seq, j, v, budget = task
+            w, n = n, n + 1
+            edges.append((v, w))
+            spine.append(w)
+            if j < budget:
+                stack.append((seq, j + 1, w, budget))
+            stack.append((stage(seq, j), w, budget - j))
+            continue
+        term, v, budget = task
+        if term.single:
+            continue  # no vertex below v
         if isinstance(term, Succ):
             if budget >= 1:
-                c = fresh()
-                edges.append((v, c))
-                build_into(term.child, c, budget - 1)
+                stack.append((term.child, n, budget - 1))
+                edges.append((v, n))
+                n += 1
             else:
-                lossy[0] = True
-            return
-        if isinstance(term, Sup):
+                lossy = True
+        elif isinstance(term, Sup):
+            copies = []
             for a, m in term.arms:
-                if m == OMEGA_MULT:
-                    if not is_single_vertex(a):
-                        lossy[0] = True
-                    copies = width
-                else:
-                    copies = m
-                for _ in range(copies):
-                    build_into(a, v, budget)
-            return
-        if isinstance(term, WSum):
-            lossy[0] = True  # the spine is infinite; a cut always hides its tail
+                if not a.single:
+                    if m == OMEGA_MULT:
+                        lossy, m = True, width
+                    copies += [(a, v, budget)] * m
+            stack.extend(reversed(copies))
+        elif isinstance(term, WSum):
+            lossy = True  # the spine is infinite; a cut always hides its tail
             spine.append(v)
-            build_into(stage(term.seq, 0), v, budget)
-            prev = v
-            for j in range(1, budget + 1):
-                w = fresh()
-                edges.append((prev, w))
-                spine.append(w)
-                build_into(stage(term.seq, j), w, budget - j)
-                prev = w
-            return
-        if isinstance(term, SupSeq):
-            if not _seq_all_single(term.seq):
-                lossy[0] = True
-            for j in range(width):
-                build_into(stage(term.seq, j), v, budget)
-            return
-        raise TermError(f"bad term {term!r}")
-
-    root = fresh()
-    build_into(t, root, depth)
-    tree = FiniteTree(counter[0], edges)
-    return Truncation(tree, root, lossy[0], spine)
+            if budget >= 1:
+                stack.append((term.seq, 1, v, budget))
+            stack.append((stage(term.seq, 0), v, budget))
+        elif isinstance(term, SupSeq):
+            lossy = True  # `width` members stand for a family that is not all single
+            stack.extend((stage(term.seq, j), v, budget) for j in reversed(range(width)))
+        else:
+            raise TermError(f"bad term {term!r}")
+    return Truncation(FiniteTree(n, edges), 0, lossy, spine)
 
 
 class CutCoder:
@@ -1073,8 +1021,8 @@ class CutCoder:
     cut of (sequence, spine position, remaining depth), so both the codes
     and the intern table are memoised on those keys; the work grows with the
     number of distinct keys, not with the vertices of the cut.  Keys are
-    coded from an explicit stack, children first, so a deep cut (a long
-    spine or succ chain) needs no Python recursion.  Ids are handed out in
+    coded children first by `fold`, so a deep cut (a long spine or succ
+    chain) needs no Python recursion.  Ids are handed out in
     first-visit order, so they repeat under every hash seed, and two ids are
     comparable only when the same coder made them.
     """
@@ -1089,33 +1037,23 @@ class CutCoder:
     def code(self, t: Term, depth: int) -> int:
         if depth < 0:
             raise TermError("depth must be >= 0")
-        memo = self._memo
-        stack = [(t, depth)]
-        kids_of = {}  # key on the stack -> {child key: multiplicity}
-        while stack:
-            key = stack[-1]
-            if key in memo:
-                stack.pop()
-                continue
-            kids = kids_of.get(key)
-            if kids is None:
-                kids = kids_of[key] = {}
-                if len(key) == 2:
-                    self._hang(key[0], key[1], 1, kids)
-                else:
-                    self._hang_spine(*key, 1, kids)
-                todo = [k for k in kids if k not in memo]
-                if todo:
-                    stack.extend(reversed(todo))
-                    continue
-            stack.pop()
-            del kids_of[key]
-            shape = {}
-            for k, m in kids.items():
-                c = memo[k]
-                shape[c] = shape.get(c, 0) + m
-            memo[key] = self._ids.setdefault(tuple(sorted(shape.items())), len(self._ids))
-        return memo[(t, depth)]
+        return fold((t, depth), self._kids, self._intern, self._memo)
+
+    def _kids(self, key):
+        """{child key: multiplicity} of the cut named by key."""
+        kids = {}
+        if len(key) == 2:
+            self._hang(key[0], key[1], 1, kids)
+        else:
+            self._hang_spine(*key, 1, kids)
+        return kids
+
+    def _intern(self, key, kids, memo):
+        shape = {}
+        for k, m in kids.items():
+            c = memo[k]
+            shape[c] = shape.get(c, 0) + m
+        return self._ids.setdefault(tuple(sorted(shape.items())), len(self._ids))
 
     def _hang(self, t, budget, copies, kids):
         """Count into `kids` the keys of the child cuts that truncate hangs
@@ -1173,14 +1111,27 @@ def _finite_form(t: Term) -> Term:
     """A finite term with each supseq replaced by the sup of its components
     that are not single vertices, finitely many: the same tree, which a cut
     then copies whole however late a patch puts them in the sequence."""
+    return fold(t, _finite_inputs, _finite_node, {})
+
+
+def _finite_inputs(t):
     if isinstance(t, Succ):
-        return Succ(_finite_form(t.child))
+        return [t.child]
     if isinstance(t, Sup):
-        return Sup([(_finite_form(a), m) for a, m in t.arms])
+        return [a for a, _ in t.arms]
     if isinstance(t, SupSeq):
-        members, _ = _members(t.seq)
-        larger = [(_finite_form(c), 1) for c in members if not is_single_vertex(c)]
-        return Sup(larger or [(BOX, 1)])
+        # t is finite, so its recurring components are single vertices
+        return [c for _, c in components(t.seq)[0] if not c.single]
+    return []
+
+
+def _finite_node(t, kids, form):
+    if isinstance(t, Succ):
+        return Succ(form[t.child])
+    if isinstance(t, Sup):
+        return Sup([(form[a], m) for a, m in t.arms])
+    if isinstance(t, SupSeq):
+        return Sup([(form[c], 1) for c in kids] or [(BOX, 1)])
     return t
 
 
@@ -1276,7 +1227,7 @@ def resolve(t: Term, address) -> ResolvedVertex:
             depth += 1
         else:
             raise AddressError(f"unknown step kind {kind!r}")
-    deg = root_degree(cur)
+    deg = cur.degree
     # degree in the whole tree: children of the scoped subterm, plus the next
     # spine vertex when the cursor sits on a spine, plus the parent edge
     on_spine = bool(address) and address[-1][0] == "spine"
@@ -1357,11 +1308,11 @@ def embeds(t: Term, s: Term, horizon: int = 16, _memo=None) -> str:
 def _embeds(t, s, horizon, memo):
     if t == s:
         return YES
-    if is_single_vertex(t):
+    if t.single:
         return YES
-    if is_single_vertex(s):
+    if s.single:
         return NO
-    if vertex_count(t) > vertex_count(s):
+    if t.size > s.size:
         return NO
     if isinstance(t, WSum) and isinstance(s, WSum):
         return _wsum_embeds(t.seq, s.seq, horizon, memo)
@@ -1480,8 +1431,8 @@ def _wsum_embeds(p, q, horizon, memo):
         return UNKNOWN
     if isinstance(p, Generated) and isinstance(q, Periodic):
         # components of p outgrow every component of q: no shift can work
-        v0, v1 = vertex_count(stage(p, 0)), vertex_count(stage(p, 1))
-        caps = [vertex_count(x) for x in q.prefix + q.cycle]
+        v0, v1 = stage(p, 0).size, stage(p, 1).size
+        caps = [x.size for x in q.prefix + q.cycle]
         if v0 != INF and v1 != INF and v1 > v0 and INF not in caps:
             return NO
         return UNKNOWN
@@ -1655,14 +1606,14 @@ def growth_certificate(gen: Generated):
     """Why stage m never embeds in stage n < m, as a reason string, or None:
     an embedding-monotone measure strictly increases along all stages, so
     the stages are also pairwise non-equimorphic."""
-    v0, v1 = vertex_count(stage(gen, 0)), vertex_count(stage(gen, 1))
+    v0, v1 = stage(gen, 0).size, stage(gen, 1).size
     if INF not in (v0, v1) and v1 > v0:
         # |C[t]| is affine in |t| with slope >= 1, so one strict step
         # propagates forever
         return "stage vertex counts grow strictly (affine recurrence)"
     hd = gen.context.hole_depth()
     if hd >= 1:
-        h0, h1, h2 = (height(stage(gen, j)) for j in range(3))
+        h0, h1, h2 = (stage(gen, j).height for j in range(3))
         if INF not in (h0, h1, h2) and h1 == hd + h0 and h2 == hd + h1:
             # height(C[t]) = max(hd + height(t), c); once the hole branch
             # dominates it dominates forever and adds hd >= 1 each stage

@@ -8,7 +8,6 @@ import pytest
 
 from scattree import oracle
 from scattree.cli import ORACLES, main
-from scattree.terms import parse_term
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -165,12 +164,17 @@ def test_unknown_oracle_is_a_usage_error(capsys):
     assert "invalid choice: 'nonsense'" in capsys.readouterr().err
 
 
-def test_stack_exhaustion_exits_four(capsys):
-    # the rank computation recurses once per succ level; running out of
-    # stack yields no verdict.  The parser itself needs no recursion.
-    text = "succ(" * 1500 + "box" + ")" * 1500
-    parse_term(text)
-    assert main(["rank", text]) == 4
+def test_stack_exhaustion_exits_four(capsys, monkeypatch):
+    # running out of stack yields no verdict, so it exits with none of a
+    # verdict's codes.  Ranks no longer recurse, so the layer is made to
+    # run out here, as a recursive one (embeds) still can on deep input.
+    import scattree.ranks
+
+    def exhausted(t):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(scattree.ranks, "rank_summary", exhausted)
+    assert main(["rank", "succ(box)"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: RecursionError")
     assert err.count("\n") == 1
@@ -200,6 +204,26 @@ def test_malformed_term_prints_no_traceback():
 def test_deep_patch_twins_need_no_deep_recursion(capsys):
     assert main(["twins", "wsum(patch(gen(box;succ(sup(_*2)));3000:box))"]) == 0
     assert "cardinality" in capsys.readouterr().out
+
+
+DEEP = {
+    "succ": ("succ(" * 10000 + "box" + ")" * 10000, "0"),
+    "sup": ("sup(" * 3000 + "succ(box)" + ")" * 3000, "0"),
+    "context": ("wsum(gen(box;" + "succ(" * 3000 + "_" + ")" * 3000 + "))", "1"),
+    "succ-wsum": ("succ(" * 1500 + "wsum([](box))" + ")" * 1500, "1"),
+}
+
+
+@pytest.mark.parametrize("name", DEEP)
+def test_deep_terms_need_no_recursion(capsys, name):
+    # nested far deeper than Python's default recursion limit, left as it is
+    text, rank = DEEP[name]
+    assert sys.getrecursionlimit() <= 1000
+    for command in ("rank", "analyze"):
+        assert main([command, text, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["rank"]["rank"] == rank
+    assert main(["truncate", text, "--depth", "3", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] > 1
 
 
 def test_strict_mode_flags_undecided(capsys):

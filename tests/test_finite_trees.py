@@ -7,6 +7,7 @@ from scattree.finite_trees import (
     FiniteTree,
     RootedFiniteTree,
     TreeError,
+    automorphism_count,
     automorphisms,
     canonical_code,
     center,
@@ -96,6 +97,18 @@ def test_automorphism_groups():
     assert len(automorphisms(star_tree(4))) == 24  # S_4 on the leaves
     for sigma in iter_automorphisms(star_tree(4)):
         assert is_automorphism(star_tree(4), sigma)
+
+
+def test_automorphisms_of_long_paths_need_no_recursion():
+    # radius 1500, far past Python's recursion limit: codes and group
+    # orders are computed bottom-up
+    for n in (3000, 3001):
+        p = path_tree(n)
+        assert automorphism_count(p) == 2
+        maps = list(iter_automorphisms(p))
+        assert len(maps) == 2 and tuple(reversed(range(n))) in maps
+    spider = FiniteTree(3001, [(0, 1), (0, 1001), (0, 2001)] + [(i, i + 1) for i in range(1, 3000) if i % 1000])
+    assert automorphism_count(spider) == 6
 
 
 def test_classification_rotation_inversion():

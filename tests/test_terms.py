@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 from scattree.finite_trees import canonical_code, rooted_embeds
 from scattree.terms import (
     BOX,
+    HOLE,
     INF,
     NO,
+    Context,
     Patched,
     Succ,
     Sup,
@@ -37,6 +39,7 @@ from scattree.terms import (
     truncation_dot,
     vertex_count,
 )
+from test_parse import context, depth, plain, term  # the parser tests' grammar
 
 RAY = "wsum([](box))"
 
@@ -229,6 +232,115 @@ def test_height_skips_patched_away_prefix_entries():
     assert height(parse_term("supseq(patch([succ(succ(box))](box);1:box))")) == 2
     assert height(parse_term("supseq(patch([](box);3:succ(box)))")) == 1
     assert height(parse_term("supseq(patch(gen(box;sup(_,succ(box)));0:succ(succ(box))))")) == 2
+
+
+@pytest.mark.parametrize(
+    "text, size, tall, degree",
+    [
+        ("sup(succ(box)*w)", INF, 1, "w"),
+        ("sup(box*w,succ(box)*2)", 3, 1, 2),
+        ("succ(sup(succ(box)*w))", INF, 2, 1),
+        ("wsum([](box))", INF, INF, 1),
+        ("wsum([sup(succ(box)*w)](box))", INF, INF, "w"),
+        ("sup(wsum([](box))*w)", INF, INF, "w"),
+        ("supseq([](box))", 1, 0, 0),
+        ("supseq([](succ(box)))", INF, 1, "w"),
+        ("supseq([succ(succ(box))](box))", 3, 2, 1),
+        ("supseq([](wsum([](box))))", INF, INF, "w"),
+        # the hole at depth 0: every stage is as high as base and shape
+        ("supseq(gen(succ(box);sup(_,succ(succ(box)))))", INF, 2, "w"),
+        ("supseq(gen(box;sup(_*w)))", 1, 0, 0),
+        # the hole at depth 1: stage n is n high
+        ("supseq(gen(box;succ(_)))", INF, INF, "w"),
+        ("supseq(gen(box;wsum([](_))))", INF, INF, "w"),
+        ("supseq(patch(gen(box;sup(_*2));4:succ(box)))", 2, 1, 1),
+    ],
+)
+def test_measures_at_infinity(text, size, tall, degree):
+    t = parse_term(text)
+    assert (vertex_count(t), height(t), root_degree(t)) == (size, tall, degree)
+    assert is_single_vertex(t) == (size == 1)
+    assert is_rayless(t) == ("wsum" not in text)
+
+
+def test_measures_agree_with_the_expanded_tree():
+    # box/succ/sup terms without omega arms are finite, so a cut past their
+    # nesting depth is the whole tree; a single vertex is a term with no succ
+    rng = random.Random(12)
+    checked = larger = 0
+    while larger < 2000:
+        text = "".join(plain(rng, rng.randint(2, 6)))
+        if "wsum" in text or "*w" in text:
+            continue
+        t = parse_term(text)
+        tr = truncate(t, depth(t) + 1)
+        assert not tr.lossy, text
+        assert vertex_count(t) == tr.tree.n, text
+        assert height(t) == max(tr.tree.distances(tr.root)), text
+        assert root_degree(t) == tr.tree.degree(tr.root), text
+        assert is_single_vertex(t) == ("succ" not in text), text
+        assert is_rayless(t), text
+        checked += 1
+        larger += "succ" in text
+    assert checked > larger
+
+
+def _children(t):
+    if isinstance(t, Succ):
+        return [t.child]
+    if isinstance(t, Sup):
+        return [a for a, _ in t.arms]
+    return list(t.seq.prefix + t.seq.cycle)
+
+
+def test_subst_rebuilds_only_the_hole_path():
+    rng = random.Random(8)
+    for _ in range(1500):
+        shape_text = "".join(context(rng, rng.randint(1, 5)))
+        ctx = parse_term(f"wsum(gen(box;{shape_text}))").seq.context
+        x = parse_term("".join(term(rng, rng.randint(0, 3))))
+        shape = ctx.shape
+        out = ctx.subst(x)
+        assert out == parse_term(format_term(shape).replace("_", format_term(x)))
+        assert Context(shape).subst(x) == out
+        # every arm off the hole path is the shape's own object
+        node = out
+        for step, i in ctx.path:
+            got, own = _children(node), _children(step)
+            assert len(got) == len(own)
+            assert all(got[j] is own[j] for j in range(len(own)) if j != i)
+            node = got[i]
+        assert node is x
+
+
+def test_stages_format_as_repeated_substitution():
+    for name in ("ex1", "ex2", "ex3", "ex4"):
+        seq = builtins()[name].seq
+        shape = format_term(seq.context.shape)
+        text = format_term(seq.base)
+        for n in range(13):
+            assert format_term(stage(seq, n)) == text, (name, n)
+            text = shape.replace("_", text)
+
+
+def test_hole_queries_read_the_path():
+    ctx = parse_term("wsum(gen(box;sup(box,wsum([box,box](box,succ(_))))))").seq.context
+    assert ctx.hole_depth() == 4  # spine position 3, then the succ
+    assert ctx.hole_under_wsum_cycle()
+    assert not ctx.hole_under_sup_branch()  # the sibling arm is one vertex
+    ctx = parse_term("wsum(gen(box;sup(succ(box),wsum([succ(_)](box)))))").seq.context
+    assert ctx.hole_depth() == 1
+    assert not ctx.hole_under_wsum_cycle()
+    assert ctx.hole_under_sup_branch()
+    deep = parse_term("wsum(gen(box;" + "succ(" * 3000 + "_" + ")" * 3000 + "))").seq
+    assert deep.context.hole_depth() == 3000
+    assert height(stage(deep, 2)) == 6000
+    with pytest.raises(TermError, match="exactly one hole, found 2"):
+        Context(Sup(((HOLE, 1), (Succ(HOLE), 1))))
+    with pytest.raises(TermError, match="exactly one hole, found 0"):
+        Context(Succ(BOX))
+    with pytest.raises(TermError, match="cannot contain supseq"):
+        Context(Sup(((HOLE, 1), (parse_term("supseq([](box))"), 1))))
 
 
 # -- truncation ------------------------------------------------------------------
