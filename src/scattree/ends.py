@@ -19,6 +19,16 @@ one cycle window past the last patch: every other pair is a pair of cycle
 members that the window reads again.  So a patch at position 10^8 costs
 what a patch at position 10 does.
 
+Nor does the horizon set the cost when no generated tail is left.  Let S
+be the first position past the prefix and the patches (`settled_from`) and
+L the cycle length: from S on, position m holds the cycle member fixed by
+m mod L.  For k >= max(S, 1) + L and every n >= 0, both n + k and
+n + k - L are at least S and congruent mod L, so they hold the same member:
+the walk at k reads exactly the pairs the walk at k - L read.  So shift k
+takes its strict verdict and eventual offset from shift k - L, and the
+origin search skips it.  At most max(S, 1) + L - 1 shifts are walked,
+whatever the horizon.
+
 Regularity asks whether the components fall into finitely many equimorphy
 classes.  Certificates:
 
@@ -169,12 +179,23 @@ def shift_report(t: Term, horizon: int = 8) -> ShiftReport:
 
 
 def _shift_report(seq, horizon):
+    """Walk the shifts 1..horizon, each at most once.  With no generated
+    tail, positions from S = settled_from(seq) on hold the cycle members in
+    turn, so once k >= max(S, 1) + L (L the cycle length) both n + k and
+    n + k - L are past S for every n >= 0 and hold the same member: shift
+    k reads exactly the pairs of shift k - L, and takes its verdict and
+    offset from there."""
     memo = {}
     notes = []
     reach = max(4, horizon // 2)  # how far past the transient a generated tail is scanned
-    yes, unk, eventual = [], [], {}
+    first, cycle = _repeat_from(seq)
+    yes, unk, eventual, walked = [], [], {}, {}
     for k in range(1, horizon + 1):
-        strict, u = shift_walk(seq, seq, k, memo=memo, reach=reach)
+        if k >= first:
+            strict, u = walked[k - cycle]
+        else:
+            strict, u = shift_walk(seq, seq, k, memo=memo, reach=reach)
+        walked[k] = strict, u
         if strict == YES:
             yes.append(k)
         elif strict == UNKNOWN:
@@ -187,15 +208,26 @@ def _shift_report(seq, horizon):
     rigid = _almost_rigid(seq, yes, unk, horizon)
     regular, reason = regular_components(seq)
     notes.append(f"regular: {reason}")
-    origin_index, origin_error = _origin(seq, regular, eventual, memo, reach)
+    origin_index, origin_error = _origin(seq, regular, eventual, memo, reach, first)
     return ShiftReport(
         tuple(yes), d, MappingProxyType(eventual), rigid, regular, origin_index, origin_error, tuple(notes)
     )
 
 
-def _origin(seq, regular, eventual, memo, reach):
+def _repeat_from(seq):
+    """(first, L): every shift k >= first repeats shift k - L.  A generated
+    tail leaves no cycle to repeat: first is then INF."""
+    _, recurring, gen = components(seq)
+    if gen is not None:
+        return INF, 0
+    return max(settled_from(seq), 1) + len(recurring), len(recurring)
+
+
+def _origin(seq, regular, eventual, memo, reach, first):
     """Least spine index u from which the component sequence is equimorphy
-    periodic: component y equimorphic to component y+d for all y >= u."""
+    periodic: component y equimorphic to component y+d for all y >= u.  A
+    candidate d >= first repeats d - L (see `_shift_report`): it would
+    read again the pairs that d - L, tried before it, read."""
     if regular == NO:
         return None, "components fall into infinitely many equimorphy classes"
     if regular == UNKNOWN:
@@ -203,6 +235,8 @@ def _origin(seq, regular, eventual, memo, reach):
     if not eventual:
         return None, "no eventual period found within the horizon"
     for d in sorted(eventual):
+        if d >= first:
+            break
         u = shift_walk(seq, seq, d, memo=memo, both_ways=True, reach=reach)[1]
         if u is not None:
             return u, None

@@ -242,10 +242,12 @@ def rooted_embeds(a: RootedFiniteTree, b: RootedFiniteTree, memo=None) -> bool:
     """Does (a, root) embed into (b, root) as an induced rooted subtree?
     Children match injectively with recursive embeddability as compatibility,
     feasibility by augmenting-path matching, memoized on code pairs.  Pass a
-    shared `memo` dict to amortize across many calls."""
+    shared `memo` dict to amortize across many calls: it also keeps each
+    tree's subtree codes, under the tree, so a tree is coded once."""
     if memo is None:
         memo = {}
-    codes_a, codes_b = {}, {}
+    codes_a = memo.setdefault(a.tree, {})
+    codes_b = memo.setdefault(b.tree, {})
 
     def go(va, pa, vb, pb):
         ca = _subcode(a.tree, va, pa, codes_a)

@@ -332,12 +332,12 @@ def equimorphy_is_isomorphy(max_n: int = 7) -> dict:
     checked exhaustively over all pairs up to max_n vertices."""
     pool = [t for n in range(1, max_n + 1) for t in free_trees(n)]
     memo = {}
-    codes = {id(t): unrooted_code(t) for t in pool}
+    coded = [(t, unrooted_code(t)) for t in pool]
     pairs = 0
-    for a in pool:
-        for b in pool:
+    for a, code_a in coded:
+        for b, code_b in coded:
             mutual = unrooted_embeds(a, b, memo) and unrooted_embeds(b, a, memo)
-            iso = codes[id(a)] == codes[id(b)]
+            iso = code_a == code_b
             if mutual != iso:
                 raise OracleError(
                     f"equimorphy/isomorphy mismatch: {a.to_json()} vs {b.to_json()}"

@@ -798,16 +798,54 @@ def root_degree(t: Term):
 def branch_count(t: Term):
     """Max number of vertices with >= 2 children along a descending path from
     the root; monotone under rooted embedding.  None when not computable,
-    INF when unbounded."""
+    INF when unbounded.  Computed children first (`fold`), so no nesting
+    depth needs Python recursion."""
+    parts = {}
+
+    def below(x):
+        parts[x] = p = _branch_parts(x)
+        return [c for _, group in p for c in group or ()] if isinstance(p, list) else []
+
+    def step(x, kids, memo):
+        p = parts[x]
+        if not isinstance(p, list):
+            return p
+        best = 0
+        for offset, group in p:
+            if group is None:
+                return None
+            sub = 0
+            for c in group:
+                b = memo[c]
+                if b is None or b == INF:
+                    return b
+                sub = max(sub, b)
+            best = max(best, offset + sub)
+        return best
+
+    return fold(t, below, step, {})
+
+
+def _branch_parts(t):
+    """The branch count of t as its parts: a list of (offset, children),
+    where t's count is the largest offset plus the largest count among the
+    children, read in order (a child of count None or INF decides it, and
+    so does a None in place of the children); or the count itself when no
+    child is needed."""
     if isinstance(t, Box):
-        return 0
+        return []
     if isinstance(t, Succ):
-        return branch_count(t.child)
+        return [(0, [t.child])]
     if isinstance(t, Sup):
         kids = root_children(t)
         if kids is None:
             return None
-        return _branch_over(kids)
+        total = 0
+        for _, m in kids:
+            total += 2 if m == OMEGA_MULT else m
+            if total >= 2:
+                break
+        return [(1 if total >= 2 else 0, [c for c, _ in kids])]
     if isinstance(t, WSum):
         once, recurring, gen = components(t.seq)
         if gen is not None:
@@ -816,26 +854,13 @@ def branch_count(t: Term):
         # (child + next spine vertex), and that recurs forever.
         if any(not x.single for x in recurring):
             return INF
-        # a spine vertex branches when its component has a child
-        best = 0
-        running = 0  # branching spine vertices before this one
-        for _, x in once:
-            if x.single:
-                continue
+        # a spine vertex branches when its component has a child; the
+        # i-th such vertex adds i + 1 to the deepest count strictly below it
+        out = []
+        for x in (x for _, x in once if not x.single):
             kids = root_children(x)
-            if kids is None:
-                return None
-            sub = 0  # deepest branch count strictly below the spine vertex
-            for c, _ in kids:
-                b = branch_count(c)
-                if b is None:
-                    return None
-                if b == INF:
-                    return INF
-                sub = max(sub, b)
-            best = max(best, running + 1 + sub)
-            running += 1
-        return best
+            out.append((len(out) + 1, kids and [c for c, _ in kids]))
+        return out
     if isinstance(t, SupSeq):
         once, recurring, gen = components(t.seq)
         if gen is not None:
@@ -847,67 +872,45 @@ def branch_count(t: Term):
             sub = root_children(x)
             if sub is None:
                 return None
-            kids.extend(sub)
+            kids.extend(c for c, _ in sub)
         rd = t.degree
-        here = 1 if (rd == "w" or rd >= 2) else 0
-        best = 0
-        for c, _ in kids:
-            b = branch_count(c)
-            if b is None:
-                return None
-            if b == INF:
-                return INF
-            best = max(best, b)
-        return here + best
+        return [(1 if (rd == "w" or rd >= 2) else 0, kids)]
     raise TermError(f"bad term {t!r}")
-
-
-def _branch_over(kids):
-    """Branch count at a vertex given its child subtrees with multiplicity."""
-    total = 0
-    for _, m in kids:
-        total += 2 if m == OMEGA_MULT else m
-        if total >= 2:
-            break
-    here = 1 if total >= 2 else 0
-    best = 0
-    for c, _ in kids:
-        b = branch_count(c)
-        if b is None:
-            return None
-        if b == INF:
-            return INF
-        best = max(best, b)
-    return here + best
 
 
 def root_children(t: Term):
     """Child subtrees of the root as (term, multiplicity) pairs, flattening
-    root identifications.  None for supseq (infinitely many contributions)."""
-    if isinstance(t, Box):
-        return []
-    if isinstance(t, Succ):
+    root identifications.  None for supseq (infinitely many contributions).
+    The identified roots are read from an explicit stack, so a sup nest of
+    any depth is flattened without Python recursion."""
+    # every embeds pair reads this, so it dispatches on the exact class
+    if type(t) is Succ:
         return [(t.child, 1)]
-    if isinstance(t, Sup):
-        out = []
-        for a, m in t.arms:
-            sub = root_children(a)
-            if sub is None:
-                return None
-            for c, mc in sub:
-                if m == OMEGA_MULT or mc == OMEGA_MULT:
-                    out.append((c, OMEGA_MULT))
-                else:
-                    out.append((c, m * mc))
-        return out
-    if isinstance(t, WSum):
-        sub = root_children(stage(t.seq, 0))
-        if sub is None:
+    out = []
+    stack = [(t, 1)]  # (term whose root is identified here, multiplicity)
+    while stack:
+        x, m = stack.pop()
+        cls = type(x)
+        if cls is Succ:
+            out.append((x.child, m))
+        elif cls is Sup:
+            if m == 1:
+                stack.extend(reversed(x.arms))
+            else:
+                for a, ma in reversed(x.arms):
+                    stack.append((a, OMEGA_MULT if OMEGA_MULT in (m, ma) else m * ma))
+        elif cls is Box:
+            pass
+        elif cls is WSum:
+            # component 0's root is the spine vertex: its children, then
+            # the next spine vertex
+            stack.append((Succ(WSum(shift_seq(x.seq, 1))), m))
+            stack.append((stage(x.seq, 0), m))
+        elif cls is SupSeq:
             return None
-        return sub + [(WSum(shift_seq(t.seq, 1)), 1)]
-    if isinstance(t, SupSeq):
-        return None
-    raise TermError(f"bad term {t!r}")
+        else:
+            raise TermError(f"bad term {x!r}")
+    return out
 
 
 # -- children-first walks ----------------------------------------------------

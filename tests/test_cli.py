@@ -226,6 +226,33 @@ def test_deep_terms_need_no_recursion(capsys, name):
     assert json.loads(capsys.readouterr().out)["n"] > 1
 
 
+def test_sup_nests_compare_without_recursion(capsys):
+    # 1500 identified roots above one child each: the children of the root,
+    # the branch count and the embedding verdicts need no recursion per
+    # level, and the spine over the two nests reads as over their children
+    from scattree.terms import BOX, NO, YES, Succ, branch_count, embeds, parse_term, root_children
+
+    assert sys.getrecursionlimit() <= 1000
+    a_text = "sup(" * 1500 + "succ(box)" + ")" * 1500
+    b_text = "sup(" * 1500 + "succ(succ(box))" + ")" * 1500
+    a, b = parse_term(a_text), parse_term(b_text)
+    assert root_children(a) == [(BOX, 1)]
+    assert root_children(b) == [(Succ(BOX), 1)]
+    assert branch_count(a) == branch_count(b) == 0
+    assert embeds(a, b) == YES
+    assert embeds(b, a) == NO
+    wide = parse_term("succ(" * 10000 + "sup(succ(box)*2)" + ")" * 10000)
+    assert branch_count(wide) == 1
+    outputs = []
+    for text in (f"wsum([]({a_text},{b_text}))", "wsum([](succ(box),succ(succ(box))))"):
+        assert main(["analyze", text, "--format", "json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        del out["term"]
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0]["shift"]["periods"] == [2, 4, 6, 8]
+
+
 def test_strict_mode_flags_undecided(capsys):
     undecided = "wsum(gen(supseq(gen(box;succ(_)));succ(_)))"
     assert main(["analyze", undecided]) == 0

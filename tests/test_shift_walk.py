@@ -10,6 +10,12 @@ Of the head the walk reads only the marked pairs, where a side is a prefix
 entry or a patch, and the last cycle window.  A dense reference that reads
 every pair in order checks that this changes no answer, and a call count
 checks that patches far out cost no more than near ones.
+
+`shift_report` walks a shift k only below max(S, 1) + L, where S is the
+first position past the prefix and the patches and L the cycle length;
+every later shift repeats shift k - L.  A dense report that walks every
+shift up to the horizon checks that this changes no field of the report,
+and a walk count checks that the horizon no longer sets the cost.
 """
 
 import random
@@ -27,10 +33,13 @@ from scattree.terms import (
     Periodic,
     Succ,
     Sup,
+    WSum,
+    components,
     embeds,
     expand_finite,
     format_seq,
     parse_term,
+    settled_from,
     shift_walk,
     stage,
     tri_and,
@@ -38,6 +47,7 @@ from scattree.terms import (
 
 PAIRS = 600
 DENSE_PAIRS = 500
+SPINES = 2000
 PAIRS_PER_WALK = 24
 
 
@@ -233,3 +243,113 @@ def test_far_patch_in_the_source_bounds_the_shifts_tried(monkeypatch):
         assert embeds(parse_term(f"wsum(patch([](box);{far}:sup(box,succ(box)*2)))"), comb) == NO
         assert shifts == [0, 1, 2]
 
+
+def spine(rng):
+    """A periodic spine of small finite components: with no prefix and no
+    patch (S = 0) a quarter of the time, else prefixed or patched."""
+    if rng.random() < 0.25:
+        return finite_seq(rng, chance=0, max_prefix=0)
+    return finite_seq(rng, last=rng.choice((3, 12)), patches=(1, 3), chance=0.6, max_prefix=3)
+
+
+def dense_report(seq, horizon):
+    """The reference: every shift 1..horizon walked, and every eventual
+    shift tried for the origin, in order."""
+    memo, reach = {}, max(4, horizon // 2)
+    yes, unknown, eventual = [], [], {}
+    for k in range(1, horizon + 1):
+        strict, u = shift_walk(seq, seq, k, memo=memo, reach=reach)
+        if strict == YES:
+            yes.append(k)
+        elif strict != NO:
+            unknown.append(k)
+        if u is not None:
+            eventual[k] = u
+    notes = [f"strict periods undecided at {unknown}"] if unknown else []
+    regular, reason = ends.regular_components(seq)
+    notes.append(f"regular: {reason}")
+    origin = None
+    if regular == YES:
+        for d in sorted(eventual):
+            origin = shift_walk(seq, seq, d, memo=memo, both_ways=True, reach=reach)[1]
+            if origin is not None:
+                break
+    return {
+        "periods": tuple(yes),
+        "eventual": eventual,
+        "almost_rigid": ends._almost_rigid(seq, yes, unknown, horizon),
+        "regular": regular,
+        "origin": origin,
+        "notes": tuple(notes),
+    }
+
+
+def test_repeated_shifts_match_the_dense_report():
+    rng = random.Random(13)
+    seen = {"settled_at_0": 0, "repeats": 0, "periods": 0, "rigid": 0, "origin_past_0": 0}
+    for _ in range(SPINES):
+        seq = spine(rng)
+        t = WSum(seq)
+        first = max(settled_from(seq), 1) + len(components(seq)[1])
+        for horizon in (8, 40):
+            report = shift_report(t, horizon)
+            got = {
+                "periods": report.periods,
+                "eventual": dict(report.eventual),
+                "almost_rigid": report.almost_rigid,
+                "regular": report.regular,
+                "origin": report.origin_index,
+                "notes": report.notes,
+            }
+            assert got == dense_report(seq, horizon), (format_seq(seq), horizon)
+            assert report.d == (report.periods[0] if report.periods else None)
+        seen["settled_at_0"] += settled_from(seq) == 0
+        seen["repeats"] += first <= 8
+        seen["periods"] += bool(report.periods)
+        seen["rigid"] += report.almost_rigid == YES
+        seen["origin_past_0"] += bool(report.origin_index)
+    # every kind of spine and of answer occurs often
+    assert min(seen.values()) >= SPINES // 20, seen
+
+
+class WalkCount:
+    """Counts the strict walks `shift_report` starts, and the both-ways
+    walks of its origin search."""
+
+    def __init__(self, monkeypatch):
+        self.strict = self.both_ways = 0
+        walk = ends.shift_walk
+
+        def counted(*args, **kwargs):
+            if kwargs.get("both_ways"):
+                self.both_ways += 1
+            else:
+                self.strict += 1
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(ends, "shift_walk", counted)
+
+
+def test_periodic_spine_walks_each_shift_class_once(monkeypatch):
+    rng = random.Random(17)
+    for _ in range(200):
+        seq = spine(rng)
+        period = len(components(seq)[1])
+        for horizon in (8, 40, 400):
+            count = WalkCount(monkeypatch)
+            report = shift_report(WSum(seq), horizon)
+            assert count.strict == min(horizon, max(settled_from(seq), 1) + period - 1)
+            assert count.both_ways <= len(report.eventual)
+
+
+def test_horizon_does_not_set_the_cost_of_a_periodic_spine(monkeypatch):
+    t = parse_term("wsum(patch([box](succ(box),sup(box*2));3:succ(succ(box))))")
+    count = WalkCount(monkeypatch)
+    report = shift_report(t, 20000)
+    # S = 4 (the patch at 3), L = 2: shifts 1..5 are walked, the rest repeat
+    assert count.strict == 5
+    assert report.periods == ()
+    assert dict(report.eventual) == {k: 4 for k in range(2, 20001, 2)}
+    assert report.almost_rigid == YES
+    assert report.origin_index == 4
+    assert classify(t, 20000).variant == "unique_end_forward"
