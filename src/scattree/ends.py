@@ -27,7 +27,19 @@ n + k - L are at least S and congruent mod L, so they hold the same member:
 the walk at k reads exactly the pairs the walk at k - L read.  So shift k
 takes its strict verdict and eventual offset from shift k - L, and the
 origin search skips it.  At most max(S, 1) + L - 1 shifts are walked,
-whatever the horizon.
+whatever the horizon, and from that horizon on every shift class has been
+walked, so a spine with no strict period among them is almost rigid.
+
+The walks of one report share one memo, and so do the pairs they read.
+Over periodic inner sequences a walk takes each pair's two components
+straight from the prefix, the cycle and the patch map; one object twice
+holds, and any other pair is decided by `embeds` once per memo, its
+verdict kept in a table keyed by the two objects' ids.  That is sound
+because the memo keeps every walked sequence, and so every component,
+alive as long as the table (no id is reused meanwhile), and because a memo
+serves one horizon, as its (term, term) entries already assume.  Shifts k
+and k + L, the origin's both-ways walks and the shifts `embeds` tries read
+many pairs again; each costs a dict probe, not two term hashes.
 
 Regularity asks whether the components fall into finitely many equimorphy
 classes.  Certificates:
@@ -151,9 +163,9 @@ def _almost_rigid(seq, periods_yes, periods_unknown, horizon):
         return UNKNOWN
     once, recurring, gen = components(seq)
     if gen is None:
-        # past the components that occur once the verdict for k repeats
-        # that of k mod cycle, so a horizon past this bound is exhaustive
-        return YES if horizon >= settled_from(seq) + 2 * len(recurring) else UNKNOWN
+        # every shift k >= max(S, 1) + L repeats shift k - L (`_shift_report`),
+        # so the shifts below that bound stand for all of them
+        return YES if horizon >= max(settled_from(seq), 1) + len(recurring) - 1 else UNKNOWN
     if not once and gen.context.hole_depth() >= 1:
         # stage 0 cannot embed into any later stage when its root degree
         # exceeds the fixed root degree of all later stages

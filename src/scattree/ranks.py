@@ -125,8 +125,8 @@ def rank_summary(t: Term) -> RankSummary:
 def _rank_inputs(x):
     """The nodes whose summaries x's summary is made from, rayless terms
     left out: subterms, and for a generated tail (a node of its own) its
-    stages 0..3."""
-    if isinstance(x, Generated):
+    stages 0..3.  The tail is the only node that is not a term."""
+    if not isinstance(x, Term):
         return _with_ends(stage(x, n) for n in range(4))
     if isinstance(x, Succ):
         return [x.child]  # x has ends, so its child has
@@ -145,7 +145,7 @@ def _summary(t, memo):
 
 
 def _rank_of(x, _, memo):
-    if isinstance(x, Generated):
+    if not isinstance(x, Term):  # a generated tail
         return _fit_recurrence(x, memo)
     if isinstance(x, Succ):
         return memo[x.child]

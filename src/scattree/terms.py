@@ -241,8 +241,9 @@ def analysis_cache(t: Term) -> dict:
 # -- component sequences ------------------------------------------------------
 
 class ComponentSeq:
-    # first: component 0, which a wsum's root degree reads
-    __slots__ = ("_hash", "first")
+    # first: component 0, which a wsum's root degree reads; _layout: what
+    # `components` returns, filled on its first call
+    __slots__ = ("_hash", "first", "_layout")
 
     def __eq__(self, other):
         if self is other:
@@ -271,6 +272,7 @@ class Periodic(ComponentSeq):
         if not self.cycle:
             raise TermError("cycle must be nonempty")
         self.first = (self.prefix or self.cycle)[0]
+        self._layout = None
         self._hash = hash(
             ("periodic", tuple(t._hash for t in self.prefix), tuple(t._hash for t in self.cycle))
         )
@@ -287,6 +289,7 @@ class Generated(ComponentSeq):
         self.context = context
         self._stages = [base]
         self.first = base
+        self._layout = None  # never filled: the layout would refer to self
         self._hash = hash(("generated", base._hash, context._hash))
 
     def _key(self):
@@ -311,6 +314,7 @@ class Patched(ComponentSeq):
         self._hash = hash(("patched", inner._hash, tuple((n, t._hash) for n, t in self.patches)))
         self._map = dict(self.patches)
         self.first = self._map.get(0, inner.first)
+        self._layout = None
         self._stage_index = {}  # patched position -> _effective_stage_index
 
     def _key(self):
@@ -752,15 +756,22 @@ def components(seq):
     terms, each at infinitely many positions; and `generated`, the
     Generated sequence whose stages fill every other position, or None.
     Every reader of a sequence's layout goes through here.  A generated
-    sequence is read whole, patched positions included."""
-    if isinstance(seq, Periodic):
-        return tuple(enumerate(seq.prefix)), seq.cycle, None
+    sequence is read whole, patched positions included.  The layout is
+    computed once per sequence object and kept in its `_layout` slot."""
+    layout = seq._layout
+    if layout is not None:
+        return layout
     if isinstance(seq, Generated):
         return (), (), seq
-    # patched: the inner layout, its overridden entries replaced by the patches
-    once, recurring, gen = components(seq.inner)
-    kept = [(n, t) for n, t in once if seq.patch_at(n) is None]
-    return tuple(sorted(kept + list(seq.patches), key=lambda e: e[0])), recurring, gen
+    if isinstance(seq, Periodic):
+        layout = tuple(enumerate(seq.prefix)), seq.cycle, None
+    else:
+        # patched: the inner layout, its overridden entries replaced by the patches
+        once, recurring, gen = components(seq.inner)
+        kept = [(n, t) for n, t in once if seq.patch_at(n) is None]
+        layout = tuple(sorted(kept + list(seq.patches), key=lambda e: e[0])), recurring, gen
+    seq._layout = layout
+    return layout
 
 
 def settled_from(seq) -> int:
@@ -832,8 +843,8 @@ def _branch_parts(t):
     children, read in order (a child of count None or INF decides it, and
     so does a None in place of the children); or the count itself when no
     child is needed."""
-    if isinstance(t, Box):
-        return []
+    if t.single:
+        return []  # a box, or a supseq of boxes, branches nowhere
     if isinstance(t, Succ):
         return [(0, [t.child])]
     if isinstance(t, Sup):
@@ -880,7 +891,8 @@ def _branch_parts(t):
 
 def root_children(t: Term):
     """Child subtrees of the root as (term, multiplicity) pairs, flattening
-    root identifications.  None for supseq (infinitely many contributions).
+    root identifications; a single-vertex subterm of any class adds none.
+    None for a supseq with a child (infinitely many contributions).
     The identified roots are read from an explicit stack, so a sup nest of
     any depth is flattened without Python recursion."""
     # every embeds pair reads this, so it dispatches on the exact class
@@ -899,8 +911,8 @@ def root_children(t: Term):
             else:
                 for a, ma in reversed(x.arms):
                     stack.append((a, OMEGA_MULT if OMEGA_MULT in (m, ma) else m * ma))
-        elif cls is Box:
-            pass
+        elif x.single:
+            pass  # a box, or a supseq of boxes: no vertex below the root
         elif cls is WSum:
             # component 0's root is the spine vertex: its children, then
             # the next spine vertex
@@ -1300,11 +1312,10 @@ def embeds(t: Term, s: Term, horizon: int = 16, _memo=None) -> str:
     if _memo is None:
         _memo = {}
     key = (t, s)
-    if key in _memo:
-        return _memo[key]
-    _memo[key] = UNKNOWN  # cycle guard; real value set below
-    out = _embeds(t, s, horizon, _memo)
-    _memo[key] = out
+    out = _memo.get(key)
+    if out is None:
+        _memo[key] = UNKNOWN  # cycle guard; real value set below
+        out = _memo[key] = _embeds(t, s, horizon, _memo)
     return out
 
 
@@ -1465,25 +1476,35 @@ def _wsum_embeds(p, q, horizon, memo):
 # the last patch sits.
 _EARLY_STAGE = 4
 
+# The memo key of the pair table of periodic walks (`_periodic_walk`); the
+# memo's other keys are (term, term) pairs
+_PAIR_TABLE = object()
+
+_NO_PATCHES = {}  # the patch map of an unpatched sequence; never written
+
 
 def shift_walk(p, q, s, horizon=16, memo=None, both_ways=False, reach=None):
     """The shift relation: does component p[n] embed in component q[n + s]
     for every n >= u?  With `both_ways` each pair must embed both ways
-    (equimorphy).  The walk reads a finite window, in position order, each
-    pair through `_stage_embeds`.  T is the transient, the last patch on
-    either side plus 1; past it both sides are their inner sequences.
+    (equimorphy).  The walk reads a finite window, in position order.  T
+    is the transient, the last patch on either side plus 1; past it both
+    sides are their inner sequences.
 
-    * Periodic inner sequences: the pairs n < E = T + max(prefix) + L,
-      L = lcm(cycles); later pairs repeat the last L of these.  Of the
-      head, only the marked pairs are read: those where p[n] or q[n + s]
-      is a prefix entry or a patch.  Every other pair is a pair of cycle
-      members fixed by n mod L, which the last window [E - L, E) reads
-      again, so skipping it changes neither the verdict nor u, and the
-      work grows with the patches and the period, not with T.
-    * Generated inner sequences with one context: every pair n < T, then
-      the pair at min(T, 4), whose yes carries to every later pair because
-      the context preserves embeddings; failing that, the pair at T, the
-      only one whose no refutes.
+    * Periodic inner sequences (`_periodic_walk`): the pairs n < E = T +
+      max(prefix) + L, L = lcm(cycles); later pairs repeat the last L of
+      these.  Of the head, only the marked pairs are read
+      (`_periodic_head`): those where p[n] or q[n + s] is a prefix entry
+      or a patch.  Every other pair is a pair of cycle members fixed by
+      n mod L, which the last window [E - L, E) reads again, so skipping
+      it changes neither the verdict nor u, and the work grows with the
+      patches and the period, not with T.  Each pair's two components are
+      read straight off the prefixes, cycles and patch maps, and each
+      pair of objects is decided once per memo.
+    * Generated inner sequences with one context: every pair n < T, each
+      through `_stage_embeds`, then the pair at min(T, 4), whose yes
+      carries to every later pair because the context preserves
+      embeddings; failing that, the pair at T, the only one whose no
+      refutes.
     * Anything else: unknown.
 
     Returns (verdict, u): the verdict for u = 0, and the least offset u
@@ -1497,17 +1518,13 @@ def shift_walk(p, q, s, horizon=16, memo=None, both_ways=False, reach=None):
         memo = {}
     inner_p, inner_q = _inner(p), _inner(q)
     start = _transient(p, q)
-    periodic = isinstance(inner_p, Periodic) and isinstance(inner_q, Periodic)
-    if periodic:
-        cycle = lcm(len(inner_p.cycle), len(inner_q.cycle))
-        end = start + max(len(inner_p.prefix), len(inner_q.prefix)) + cycle
-    elif (
+    if isinstance(inner_p, Periodic) and isinstance(inner_q, Periodic):
+        return _periodic_walk(p, q, s, start, horizon, memo, both_ways, reach)
+    if not (
         isinstance(inner_p, Generated)
         and isinstance(inner_q, Generated)
         and inner_p.context == inner_q.context
     ):
-        end = start
-    else:
         return UNKNOWN, None
 
     def holds(a, n, b):
@@ -1516,25 +1533,13 @@ def shift_walk(p, q, s, horizon=16, memo=None, both_ways=False, reach=None):
             verdict = tri_and(verdict, _stage_embeds(b, n + s, a, n, horizon, memo))
         return verdict
 
-    head = range(end)
-    if periodic and start > cycle:
-        # a pair away from the prefixes and the patches is a pair of cycle
-        # members fixed by n mod cycle, so the last window reads it again;
-        # most heads are shorter than a cycle and skip nothing, so they are
-        # read whole without building this list
-        marked = set(range(max(len(inner_p.prefix), len(inner_q.prefix) - s)))
-        marked.update(n for n, _ in _patches(p))
-        marked.update(n - s for n, _ in _patches(q) if n >= s)
-        head = [*sorted(marked), *range(end - cycle, end)]
     verdict, last = YES, -1  # last: the last pair read that is not yes
-    for n in head:
+    for n in range(start):
         pair = holds(p, n, q)
         if pair != YES:
             if pair == NO and reach is None:
                 return NO, None
             verdict, last = tri_and(verdict, pair), n
-    if periodic:
-        return verdict, (last + 1 if last < end - cycle else None)
     early = min(start, _EARLY_STAGE)
     tail = holds(inner_p, early, inner_q)
     if tail != YES and early < start:
@@ -1546,6 +1551,83 @@ def shift_walk(p, q, s, horizon=16, memo=None, both_ways=False, reach=None):
         if holds(p, n, q) == YES:
             return verdict, n
     return verdict, None
+
+
+def _periodic_walk(p, q, s, start, horizon, memo, both_ways, reach):
+    """`shift_walk` over two sequences with periodic inner sequences.
+
+    A pair of one object twice holds.  Any other pair (a, b) is decided by
+    embeds(a, b) once per memo: the verdict goes into the memo's pair
+    table, keyed by (id(a), id(b)), so a pair that a later walk reads
+    again (shift k + L, the both-ways origin walks, the next shift
+    `_wsum_embeds` tries) costs one dict probe instead of hashing two
+    terms.  An id names an object only while it lives, so the memo keeps
+    every p and q walked alive, and with them their components: no id in
+    the table is reused while the table lives.  Like the memo's (t, s)
+    entries, a verdict holds for the memo's one horizon.  Only yes and no
+    are kept: an unknown may be the cycle guard of a pair still being
+    decided further up, which `embeds` answers afresh once it is decided
+    (the guard fires on none of the benchmark's operations).
+    """
+    pre_p, cyc_p, patch_p = _periodic_parts(p)
+    pre_q, cyc_q, patch_q = _periodic_parts(q)
+    kp, lp, kq, lq = len(pre_p), len(cyc_p), len(pre_q), len(cyc_q)
+    cycle = lcm(lp, lq)
+    end = start + max(kp, kq) + cycle
+    pairs = memo.get(_PAIR_TABLE)
+    if pairs is None:
+        pairs = memo[_PAIR_TABLE] = ({}, [])
+    table, alive = pairs
+    alive.append((p, q))
+
+    def decide(a, b):
+        verdict = embeds(a, b, horizon, memo)
+        if verdict != UNKNOWN:
+            table[id(a), id(b)] = verdict
+        return verdict
+
+    verdict, last = YES, -1  # last: the last pair read that is not yes
+    for n in _periodic_head(p, q, s, start, end, cycle):
+        # a = stage(p, n) and b = stage(q, n + s), without the calls
+        a = patch_p.get(n)
+        if a is None:
+            a = pre_p[n] if n < kp else cyc_p[(n - kp) % lp]
+        m = n + s
+        b = patch_q.get(m)
+        if b is None:
+            b = pre_q[m] if m < kq else cyc_q[(m - kq) % lq]
+        if a is b:
+            continue
+        pair = table.get((id(a), id(b))) or decide(a, b)
+        if both_ways and pair != NO:
+            pair = tri_and(pair, table.get((id(b), id(a))) or decide(b, a))
+        if pair != YES:
+            if pair == NO and reach is None:
+                return NO, None
+            verdict, last = tri_and(verdict, pair), n
+    return verdict, (last + 1 if last < end - cycle else None)
+
+
+def _periodic_head(p, q, s, start, end, cycle):
+    """The positions n, in order, whose pairs p[n], q[n + s] a periodic
+    walk reads below its window end `end`.  A pair away from the prefixes
+    and the patches is a pair of cycle members fixed by n mod cycle, so the
+    last window reads it again; most heads are shorter than a cycle and
+    skip nothing, so they are read whole without building a list."""
+    if start <= cycle:
+        return range(end)
+    marked = set(range(max(len(_inner(p).prefix), len(_inner(q).prefix) - s)))
+    marked.update(n for n, _ in _patches(p))
+    marked.update(n - s for n, _ in _patches(q) if n >= s)
+    return [*sorted(marked), *range(end - cycle, end)]
+
+
+def _periodic_parts(seq):
+    """(prefix, cycle, patch map) of a sequence whose inner sequence is
+    periodic; the patch map is read only."""
+    if isinstance(seq, Patched):
+        return seq.inner.prefix, seq.inner.cycle, seq._map
+    return seq.prefix, seq.cycle, _NO_PATCHES
 
 
 def _inner(seq):

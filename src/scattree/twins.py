@@ -32,9 +32,10 @@ from .terms import (
     Term,
     TermError,
     WSum,
-    equimorphic,
+    embeds,
     settled_from,
     stage,
+    tri_and,
 )
 
 # ---------------------------------------------------------------------------
@@ -564,7 +565,8 @@ def verify_twins(t: Term, twins, horizon: int = 12) -> dict:
     on which the trees disagree.  Codes are symbolic (``CutCoder``) and
     share one intern table, so they are comparable only within one result.
     The mutual checks search spine shifts up to `horizon` past the same
-    reach, since the n-th twin_n member needs a shift of at least 3n + 2.
+    reach, since the n-th twin_n member needs a shift of at least 3n + 2;
+    they share one embeds memo.
     Members patched past MAX_REACH may come out `unknown` or share a code:
     the family is then reported unverified, never wrongly verified.
     """
@@ -574,7 +576,10 @@ def verify_twins(t: Term, twins, horizon: int = 12) -> dict:
     coder = CutCoder(CUT_WIDTH)
     depth = max(20, reach)
     codes = [str(coder.code(x, depth)) for x in items]
-    mutual = [equimorphic(t, s, horizon + reach) for s in twins]
+    # one memo, at one horizon, for every check both ways: the members
+    # share most component pairs, so each is decided once per family
+    h, memo = horizon + reach, {}
+    mutual = [tri_and(embeds(t, s, h, memo), embeds(s, t, h, memo)) for s in twins]
     distinct = len(set(codes)) == len(codes)
     return {
         "mutual": mutual,

@@ -87,6 +87,12 @@ def test_components_layout():
     assert components(gen_seq) == (gen_seq.patches, (), gen_seq.inner)
 
 
+def test_layout_is_computed_once_per_sequence():
+    seq = parse_term("wsum(patch([succ(box)](box);3:box))").seq
+    assert components(seq) is components(seq)
+    assert components(seq.inner) is components(seq.inner)
+
+
 def test_patched_and_unrolled_sequences_agree():
     rng = random.Random(11)
     for _ in range(SEQUENCES):

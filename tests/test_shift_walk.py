@@ -8,8 +8,11 @@ finite oracle `rooted_embeds`.  The walk reads a window of T + max(prefix)
 
 Of the head the walk reads only the marked pairs, where a side is a prefix
 entry or a patch, and the last cycle window.  A dense reference that reads
-every pair in order checks that this changes no answer, and a call count
-checks that patches far out cost no more than near ones.
+every pair in order checks that this changes no answer, and a count of
+the positions `_periodic_head` hands the walk checks that patches far out
+cost no more than near ones.  The walk decides each pair of component
+objects once per memo, keyed by their ids; walks over short-lived
+sequences that share one memo check that it answers as fresh memos do.
 
 `shift_report` walks a shift k only below max(S, 1) + L, where S is the
 first position past the prefix and the patches and L the cycle length;
@@ -28,6 +31,7 @@ from scattree.stability import classify
 from scattree.terms import (
     BOX,
     NO,
+    UNKNOWN,
     YES,
     Patched,
     Periodic,
@@ -178,23 +182,35 @@ def test_sparse_head_matches_the_dense_walk():
 class PairBudget:
     """Counts the walks and the pairs they read, and fails as soon as the
     pairs exceed PAIRS_PER_WALK per walk started, so a head that reads every
-    position fails at once instead of running for hours."""
+    position fails at once instead of running for hours.  A periodic walk
+    reads the positions `_periodic_head` hands it, so their number is
+    counted as it is returned, before any pair is read; a generated walk
+    reads each pair through `_stage_embeds`, counted per call."""
 
     def __init__(self, monkeypatch):
         self.walks = self.pairs = 0
-        walk, pair = terms.shift_walk, terms._stage_embeds
+        walk, head, pair = terms.shift_walk, terms._periodic_head, terms._stage_embeds
 
         def counted_walk(*args, **kwargs):
             self.walks += 1
             return walk(*args, **kwargs)
 
-        def counted_pair(*args):
-            self.pairs += 1
+        def spend(n):
+            self.pairs += n
             assert self.pairs <= PAIRS_PER_WALK * self.walks, (self.pairs, self.walks)
+
+        def counted_head(*args):
+            positions = head(*args)
+            spend(len(positions))
+            return positions
+
+        def counted_pair(*args):
+            spend(1)
             return pair(*args)
 
         monkeypatch.setattr(terms, "shift_walk", counted_walk)
         monkeypatch.setattr(ends, "shift_walk", counted_walk)
+        monkeypatch.setattr(terms, "_periodic_head", counted_head)
         monkeypatch.setattr(terms, "_stage_embeds", counted_pair)
 
 
@@ -219,6 +235,56 @@ def test_far_patches_cost_bounded_work(monkeypatch):
     early = parse_term("wsum(patch([](box);1500:succ(box)))")
     assert embeds(late, early) == NO
     assert embeds(early, late) == YES
+
+    # a generated walk reads its pairs through _stage_embeds, which the
+    # budget counts one by one
+    pairs = budget.pairs
+    t = parse_term("wsum(patch(gen(box;succ(sup(_*2)));3:box))")
+    assert shift_report(t, 2).periods == ()
+    assert budget.pairs > pairs
+
+
+FRESH_TEXTS = (
+    "succ(box)",
+    "succ(succ(box))",
+    "sup(succ(box)*2)",
+    "sup(box,succ(succ(box)))",
+    "succ(sup(box*2))",
+)
+
+
+def short_lived(rng):
+    """Two sequences of freshly parsed components, equal to components
+    built before but never the same objects, and a shift."""
+    def fresh(low, high):
+        return [parse_term(rng.choice(FRESH_TEXTS)) for _ in range(rng.randint(low, high))]
+
+    def seq():
+        return Periodic(fresh(0, 1), fresh(1, 2))
+
+    return seq(), seq(), rng.randint(0, 2)
+
+
+def test_one_memo_serves_many_short_lived_walks():
+    """The pair table keys verdicts by object ids.  Sequences built and
+    dropped in a loop recycle the ids of their components, so one memo
+    shared by all their walks must answer exactly as a fresh memo per walk
+    does: the memo keeps every walked sequence alive."""
+    rng = random.Random(29)
+    memo = {}
+    for _ in range(1500):
+        p, q, s = short_lived(rng)
+        for both in (False, True):
+            shared = shift_walk(p, q, s, memo=memo, both_ways=both, reach=0)
+            assert shared == shift_walk(p, q, s, both_ways=both, reach=0), (p, q, s, both)
+    # with nothing holding them, the loop's components die each round and
+    # their ids recur
+    seen, recurred = set(), 0
+    for _ in range(200):
+        p, q, _ = short_lived(rng)
+        recurred += id(stage(p, 0)) in seen
+        seen.add(id(stage(p, 0)))
+    assert recurred > 0
 
 
 def test_far_patch_in_the_source_bounds_the_shifts_tried(monkeypatch):
@@ -353,3 +419,33 @@ def test_horizon_does_not_set_the_cost_of_a_periodic_spine(monkeypatch):
     assert report.almost_rigid == YES
     assert report.origin_index == 4
     assert classify(t, 20000).variant == "unique_end_forward"
+
+
+def test_almost_rigid_is_decided_once_every_shift_class_is_walked():
+    """With no generated tail, the shifts 1..max(S, 1) + L - 1 stand for
+    every shift, so from that horizon on `almost_rigid` is the truth: yes
+    exactly when no shift up to 40 is a strict period.  Below it the
+    verdict may stay unknown, but is never wrong."""
+    rng = random.Random(19)
+    seen = {YES: 0, NO: 0, "open_below": 0}
+    for _ in range(300):
+        seq = spine(rng)
+        bound = max(settled_from(seq), 1) + len(components(seq)[1]) - 1
+        truth = NO if any(shift_walk(seq, seq, k)[0] == YES for k in range(1, 41)) else YES
+        seen[truth] += 1
+        for horizon in range(1, bound + 2):
+            rigid = shift_report(WSum(seq), horizon).almost_rigid
+            if horizon >= bound:
+                assert rigid == truth, (format_seq(seq), horizon)
+            else:
+                assert rigid in (truth, UNKNOWN), (format_seq(seq), horizon)
+                seen["open_below"] += rigid == UNKNOWN
+    assert min(seen.values()) >= 30, seen
+
+
+def test_almost_rigid_at_the_repeat_bound():
+    # S = 4 (the patch at 3), L = 2: shifts 1..5 are every class
+    t = parse_term("wsum(patch([box](succ(box),sup(box*2));3:succ(succ(box))))")
+    for horizon, rigid, twins in ((4, UNKNOWN, UNKNOWN), (5, YES, "one"), (8, YES, "one")):
+        assert shift_report(t, horizon).almost_rigid == rigid, horizon
+        assert classify(t, horizon).twins == twins, horizon

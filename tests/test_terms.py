@@ -18,6 +18,7 @@ from scattree.terms import (
     WSum,
     YES,
     address_distance,
+    branch_count,
     builtins,
     embeds,
     equimorphic,
@@ -31,6 +32,7 @@ from scattree.terms import (
     parse_term,
     resolve,
     resolve_name,
+    root_children,
     root_degree,
     shift_seq,
     spine_address,
@@ -611,3 +613,11 @@ def test_truncation_monotone_in_depth(text, depth):
     small = truncate(t, depth, width=3)
     big = truncate(t, depth + 2, width=3)
     assert rooted_embeds(small.rooted, big.rooted)
+
+
+def test_single_vertex_subterms_add_no_children():
+    # a supseq of boxes is one vertex, like a box, whatever its class
+    a, b = parse_term("sup(supseq([box](box)),succ(box))"), parse_term("succ(box)")
+    assert root_children(a) == [(BOX, 1)]
+    assert embeds(a, b) == embeds(b, a) == YES
+    assert branch_count(a) == 0

@@ -20,6 +20,7 @@ from scattree.terms import (
     builtins,
     equimorphic,
     parse_term,
+    resolve_name,
     truncate,
 )
 from scattree.twins import (
@@ -249,6 +250,19 @@ def test_verify_twins_runs_both_checks():
     assert report["all_mutual"]
     assert report["codes_distinct"]
     assert len(set(report["codes"])) == len(twins) + 1  # original included
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex3", "wsum([](succ(box)))"])
+def test_one_family_memo_answers_as_fresh_memos(name):
+    """verify_twins runs every mutual check through one memo; each member
+    still gets the verdict that a fresh `equimorphic` gives it at the same
+    horizon."""
+    t = resolve_name(name)
+    family = [twin_n(t, j) for j in range(1, 7)]
+    reach = max(x.seq.last_patch() for x in family) + 2
+    report = verify_twins(t, family)
+    assert report["mutual"] == [equimorphic(t, x, 12 + reach) for x in family]
+    assert report["ok"]
 
 
 def test_twin_n_family_prune_tops():
