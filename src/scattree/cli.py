@@ -65,6 +65,7 @@ def _cmd_examples(args):
         if not und:
             c = classify(t, args.horizon)
             cert = json.loads(c.to_json())
+            und = c.twins == "unknown"  # as `analyze` counts it
         undecided = undecided or und
         rows.append({"name": name, "term": format_term(t), "rank": rank, "stability": cert})
     return {"examples": rows}, undecided

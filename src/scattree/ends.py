@@ -33,13 +33,15 @@ walked, so a spine with no strict period among them is almost rigid.
 The walks of one report share one memo, and so do the pairs they read.
 Over periodic inner sequences a walk takes each pair's two components
 straight from the prefix, the cycle and the patch map; one object twice
-holds, and any other pair is decided by `embeds` once per memo, its
-verdict kept in a table keyed by the two objects' ids.  That is sound
-because the memo keeps every walked sequence, and so every component,
-alive as long as the table (no id is reused meanwhile), and because a memo
-serves one horizon, as its (term, term) entries already assume.  Shifts k
-and k + L, the origin's both-ways walks and the shifts `embeds` tries read
-many pairs again; each costs a dict probe, not two term hashes.
+holds, a pair whose measure fields settle it costs no call, and any other
+pair is decided by `embeds` once per memo, its verdict kept, from the
+memo's second walk on, in a table keyed by the two objects' ids.  That is
+sound because the memo keeps every sequence walked into the table, and so
+every component, alive as long as the table (no id is reused meanwhile),
+and because a memo serves one horizon, as its (term, term) entries already
+assume.  Shifts k and k + L, the origin's both-ways walks and the shifts
+`embeds` tries read many pairs again; each costs a dict probe, not two
+term hashes.
 
 Regularity asks whether the components fall into finitely many equimorphy
 classes.  Certificates:

@@ -145,7 +145,9 @@ class Sup(Term):
     __slots__ = ("arms", "single", "rayless", "size", "height", "degree")
 
     def __init__(self, arms):
-        arms = tuple([(t, m) for t, m in arms])
+        # arms: (term, multiplicity) tuples, kept as given; the parser hands
+        # over its own list
+        arms = tuple(arms)
         if not arms:
             raise TermError("sup needs at least one arm")
         # the hash and the measures in one pass over the arms: parsing
@@ -154,16 +156,17 @@ class Sup(Term):
         single = rayless = True
         height, size, degree = 0, 1, 0
         for t, m in arms:
-            if m != OMEGA_MULT and (not isinstance(m, int) or m < 1):
-                raise TermError("arm multiplicity must be a positive integer or w")
+            if type(m) is not int or m < 1:  # a positive int passes one test
+                if m != OMEGA_MULT and (not isinstance(m, int) or m < 1):
+                    raise TermError("arm multiplicity must be a positive integer or w")
             keys.append((t._hash, m))
+            if t.single:
+                continue  # the shared root itself: rayless and of height 0
+            single = False
             if not t.rayless:
                 rayless = False
             if t.height > height:
                 height = t.height
-            if t.single:
-                continue  # a single vertex is the shared root itself
-            single = False
             if m == OMEGA_MULT:
                 size, degree = INF, OMEGA_MULT
             else:
@@ -267,14 +270,14 @@ class Periodic(ComponentSeq):
     __slots__ = ("prefix", "cycle")
 
     def __init__(self, prefix, cycle):
-        self.prefix = tuple(prefix)
-        self.cycle = tuple(cycle)
-        if not self.cycle:
+        self.prefix = prefix = tuple(prefix)
+        self.cycle = cycle = tuple(cycle)
+        if not cycle:
             raise TermError("cycle must be nonempty")
-        self.first = (self.prefix or self.cycle)[0]
+        self.first = (prefix or cycle)[0]
         self._layout = None
         self._hash = hash(
-            ("periodic", tuple(t._hash for t in self.prefix), tuple(t._hash for t in self.cycle))
+            ("periodic", tuple([t._hash for t in prefix]), tuple([t._hash for t in cycle]))
         )
 
     def _key(self):
@@ -307,11 +310,11 @@ class Patched(ComponentSeq):
             merged.update(patches)
             inner, patches = inner.inner, merged
         self.inner = inner
-        self.patches = tuple(sorted((int(n), t) for n, t in dict(patches).items()))
+        self.patches = tuple(sorted([(int(n), t) for n, t in dict(patches).items()]))
         for n, _ in self.patches:
             if n < 0:
                 raise TermError("patch positions must be >= 0")
-        self._hash = hash(("patched", inner._hash, tuple((n, t._hash) for n, t in self.patches)))
+        self._hash = hash(("patched", inner._hash, tuple([(n, t._hash) for n, t in self.patches])))
         self._map = dict(self.patches)
         self.first = self._map.get(0, inner.first)
         self._layout = None
@@ -515,16 +518,26 @@ def _expected(what, text, i):
     return TermError(f"expected {what} at position {_token_position(text, i)} in {text!r}")
 
 
+# the frames of the nodes with one part, shared by every parse, and the
+# frame under the root
+_SUCC, _WSUM, _SUPSEQ, _ROOT = ("succ",), ("wsum",), ("supseq",), ("root",)
+
+
 def parse_term(text: str) -> Term:
     """Read a term in the grammar above; whitespace may separate tokens.
 
     The tokens come from one findall, and the text splits into tokens
     exactly when they cover every non-space character; a syntax error names
     the end of the last token before the first stray character.  The reader
-    keeps the open nodes on an explicit stack of frames ``[kind, parts...]``,
-    so any nesting depth parses without Python recursion."""
+    keeps the open nodes on an explicit stack of frames ``(kind, parts...)``,
+    so any nesting depth parses without Python recursion.  It alternates two
+    phases: open pushes the frames of the nodes that start at the cursor
+    down to a leaf, and close hands each finished value to the innermost
+    frame, which either asks for its next part or is finished itself, in
+    one branch per kind."""
     toks = _TOKENS.findall(text)
-    if len("".join(toks)) != len("".join(text.split())):
+    covered = len("".join(toks))
+    if covered != len(text) and covered != len("".join(text.split())):
         pos = 0
         for m in _TOKENS.finditer(text):
             if text[pos:m.start()].strip():
@@ -532,75 +545,79 @@ def parse_term(text: str) -> Term:
             pos = m.end()
         raise TermError(f"syntax error at position {pos}: {text[pos:pos+20]!r}")
     toks.append(None)
-    stack = []
-    value = None
+    frame, stack = _ROOT, []  # the innermost frame, and the frames around it
     hole = False  # reading a gen context, the only place "_" may stand
-    want_seq = False
     i = 0
     while True:
-        # open: read a leaf, or push the frame of a node and read its first part
+        # open: push the frame of a node, or read a leaf and close
         tok = toks[i]
-        if want_seq:
-            if tok == "[":
-                i += 1
-                if toks[i] == "]":
-                    if toks[i + 1] != "(":
-                        raise _expected("(", text, i + 1)
-                    i += 2
-                    stack.append(["cycle", [], []])
-                else:
-                    stack.append(["prefix", [], []])
-                want_seq = False
-                continue
-            if tok == "gen":
-                frame = ["gen"]
-                want_seq = False
-            elif tok == "patch":
-                frame = ["patch"]
-            else:
-                raise _expected("a component sequence", text, i)
-            if hole:
-                raise TermError(
-                    f"{tok} not allowed inside a context (position {_token_position(text, i)})"
-                )
-        elif tok == "box":
+        if tok == "box":
             i += 1
             value = BOX
+        elif tok == "succ":
+            if toks[i + 1] != "(":
+                raise _expected("(", text, i + 1)
+            i += 2
+            stack.append(frame)
+            frame = _SUCC
+            continue
+        elif tok == "sup":
+            if toks[i + 1] != "(":
+                raise _expected("(", text, i + 1)
+            i += 2
+            stack.append(frame)
+            frame = ["sup", []]
+            continue
+        elif tok == "wsum" or tok == "supseq":
+            if hole and tok == "supseq":
+                raise TermError(
+                    f"supseq not allowed inside a context (position {_token_position(text, i)})"
+                )
+            if toks[i + 1] != "(":
+                raise _expected("(", text, i + 1)
+            i += 2
+            stack.append(frame)
+            frame = _WSUM if tok == "wsum" else _SUPSEQ
+            # a component sequence, under any number of patches
+            while True:
+                tok = toks[i]
+                stack.append(frame)
+                if tok == "[":
+                    i += 1
+                    if toks[i] == "]":
+                        if toks[i + 1] != "(":
+                            raise _expected("(", text, i + 1)
+                        i += 2
+                        frame = ["cycle", [], []]
+                    else:
+                        frame = ["prefix", [], []]
+                    break
+                if tok != "gen" and tok != "patch":
+                    raise _expected("a component sequence", text, i)
+                if hole:
+                    raise TermError(
+                        f"{tok} not allowed inside a context (position {_token_position(text, i)})"
+                    )
+                if toks[i + 1] != "(":
+                    raise _expected("(", text, i + 1)
+                i += 2
+                frame = [tok]
+                if tok == "gen":
+                    break  # its base is a term
+            continue
         elif tok == "_":
             if not hole:
                 raise TermError(f"hole not allowed at position {_token_position(text, i)}")
             i += 1
             value = HOLE
-        elif tok == "succ":
-            frame = ["succ"]
-        elif tok == "sup":
-            frame = ["sup", []]
-        elif tok == "wsum":
-            frame = ["wsum"]
-            want_seq = True
-        elif tok == "supseq":
-            if hole:
-                raise TermError(
-                    f"supseq not allowed inside a context (position {_token_position(text, i)})"
-                )
-            frame = ["supseq"]
-            want_seq = True
         else:
             raise _expected("a term", text, i)
-        if value is None:
-            if toks[i + 1] != "(":
-                raise _expected("(", text, i + 1)
-            i += 2
-            stack.append(frame)
-            continue
         # close: hand the value to the innermost frame; finish the frames it
         # completes, up to one that wants another part
-        while stack:
-            frame = stack[-1]
+        while True:
             kind = frame[0]
             tok = toks[i]
             if kind == "sup":
-                m = 1
                 if tok == "*":
                     tok = toks[i + 1]
                     if tok is None:
@@ -612,11 +629,32 @@ def parse_term(text: str) -> Term:
                         raise TermError(f"expected multiplicity at position {_token_position(text, i)}")
                     elif (m := int(tok)) < 1:
                         raise TermError(f"multiplicity must be >= 1 at position {_token_position(text, i)}")
+                    frame[1].append((value, m))
                     tok = toks[i]
-                frame[1].append((value, m))
+                else:
+                    frame[1].append((value, 1))
                 if tok == ",":
                     i += 1
                     break
+                if tok != ")":
+                    raise _expected(")", text, i)
+                value = Sup(frame[1])
+            elif kind == "succ":
+                if tok != ")":
+                    raise _expected(")", text, i)
+                value = Succ(value)
+            elif kind == "cycle":
+                frame[2].append(value)
+                if tok == ",":
+                    i += 1
+                    break
+                if tok != ")":
+                    raise _expected(")", text, i)
+                value = Periodic(frame[1], frame[2])
+            elif kind == "wsum":
+                if tok != ")":
+                    raise _expected(")", text, i)
+                value = WSum(value)
             elif kind == "prefix":
                 frame[1].append(value)
                 if tok == ",":
@@ -629,83 +667,73 @@ def parse_term(text: str) -> Term:
                 i += 2
                 frame[0] = "cycle"
                 break
-            elif kind == "cycle":
-                frame[2].append(value)
-                if tok == ",":
+            elif kind == "gen":
+                if len(frame) == 1:
+                    if tok != ";":
+                        raise _expected(";", text, i)
                     i += 1
+                    frame.append(value)  # the base; the context follows
+                    hole = True
                     break
-            elif kind == "gen" and len(frame) == 1:
-                if tok != ";":
-                    raise _expected(";", text, i)
-                i += 1
-                frame.append(value)  # the base; the context follows
-                hole = True
-                break
+                if tok != ")":
+                    raise _expected(")", text, i)
+                hole = False
+                value = Generated(frame[1], Context(value))
             elif kind == "patch":
                 if len(frame) == 1:
                     if tok != ";":
                         raise _expected(";", text, i)
                     frame += (value, {}, None)  # inner sequence, patches, position
-                    more = True
                 else:
                     frame[2][frame[3]] = value
-                    more = tok == ","
-                if more:
-                    n = toks[i + 1]
-                    if n is None:
-                        raise _expected("a token", text, i + 1)
-                    if not n.isdigit():
-                        raise _expected("a patch position", text, i + 1)
-                    if toks[i + 2] != ":":
-                        raise _expected(":", text, i + 2)
-                    frame[3] = int(n)
-                    i += 3
-                    break
-            if tok != ")":
-                raise _expected(")", text, i)
-            i += 1
-            stack.pop()
-            if kind == "succ":
-                value = Succ(value)
-            elif kind == "sup":
-                value = Sup(frame[1])
-            elif kind == "wsum":
-                value = WSum(value)
-            elif kind == "cycle":
-                value = Periodic(frame[1], frame[2])
-            elif kind == "gen":
-                hole = False
-                value = Generated(frame[1], Context(value))
-            elif kind == "patch":
-                value = Patched(frame[1], frame[2])
-            else:
+                    if tok != ",":
+                        if tok != ")":
+                            raise _expected(")", text, i)
+                        i += 1
+                        value = Patched(frame[1], frame[2])
+                        frame = stack.pop()
+                        continue
+                n = toks[i + 1]
+                if n is None:
+                    raise _expected("a token", text, i + 1)
+                if not n.isdigit():
+                    raise _expected("a patch position", text, i + 1)
+                if toks[i + 2] != ":":
+                    raise _expected(":", text, i + 2)
+                frame[3] = int(n)
+                i += 3
+                break
+            elif kind == "supseq":
+                if tok != ")":
+                    raise _expected(")", text, i)
                 value = SupSeq(value)
-        else:
-            if toks[i] is not None:
-                raise TermError(f"trailing input at position {_token_position(text, i)} in {text!r}")
-            return value
-        value = None
+            else:  # the root
+                if tok is not None:
+                    raise TermError(f"trailing input at position {_token_position(text, i)} in {text!r}")
+                return value
+            i += 1
+            frame = stack.pop()
 
 
 # -- built-in fixtures --------------------------------------------------------
 
+# the built-in trees by name; `resolve_name` parses only the one asked for
+_BUILTIN_TEXTS = {
+    "box": "box",
+    "ray": "wsum([](box))",
+    "ex1": "wsum(gen(box;succ(sup(_*2))))",
+    "ex2": "wsum(gen(box;sup(succ(_)*w)))",
+    "ex3": "wsum(gen(wsum([](box));succ(sup(succ(_)*2))))",
+    "ex4": "wsum(gen(sup(succ(box)*3);succ(sup(_*2))))",
+}
+
+
 def builtins():
-    return {
-        "box": BOX,
-        "ray": parse_term("wsum([](box))"),
-        "ex1": parse_term("wsum(gen(box;succ(sup(_*2))))"),
-        "ex2": parse_term("wsum(gen(box;sup(succ(_)*w)))"),
-        "ex3": parse_term("wsum(gen(wsum([](box));succ(sup(succ(_)*2))))"),
-        "ex4": parse_term("wsum(gen(sup(succ(box)*3);succ(sup(_*2))))"),
-    }
+    return {name: parse_term(text) for name, text in _BUILTIN_TEXTS.items()}
 
 
 def resolve_name(text: str) -> Term:
-    table = builtins()
-    key = text.strip()
-    if key in table:
-        return table[key]
-    return parse_term(text)
+    return parse_term(_BUILTIN_TEXTS.get(text.strip(), text))
 
 
 # -- component access ---------------------------------------------------------
@@ -1309,6 +1337,12 @@ def embeds(t: Term, s: Term, horizon: int = 16, _memo=None) -> str:
     any forward shift s >= 0 is accepted, although s > 0 moves the root.
     Making this pair strictly root to root is still open (ROADMAP item 1).
     """
+    # the first tests of _embeds, which the measure fields settle before
+    # any memo key is built
+    if t is s or t.single:
+        return YES
+    if s.single or t.size > s.size:
+        return NO
     if _memo is None:
         _memo = {}
     key = (t, s)
@@ -1361,7 +1395,13 @@ def _pack(demands, capacities, horizon, memo):
     edges = {}
     for i, (a, _) in enumerate(demands):
         for j, (b, _) in enumerate(capacities):
-            edges[i, j] = embeds(a, b, horizon, memo)
+            # embeds' own first tests, without the call
+            if a is b or a.single:
+                edges[i, j] = YES
+            elif b.single or a.size > b.size:
+                edges[i, j] = NO
+            else:
+                edges[i, j] = embeds(a, b, horizon, memo)
 
     def feasible(ok):
         # omega demands each need an omega capacity; they share freely
@@ -1556,14 +1596,18 @@ def shift_walk(p, q, s, horizon=16, memo=None, both_ways=False, reach=None):
 def _periodic_walk(p, q, s, start, horizon, memo, both_ways, reach):
     """`shift_walk` over two sequences with periodic inner sequences.
 
-    A pair of one object twice holds.  Any other pair (a, b) is decided by
-    embeds(a, b) once per memo: the verdict goes into the memo's pair
-    table, keyed by (id(a), id(b)), so a pair that a later walk reads
-    again (shift k + L, the both-ways origin walks, the next shift
-    `_wsum_embeds` tries) costs one dict probe instead of hashing two
-    terms.  An id names an object only while it lives, so the memo keeps
-    every p and q walked alive, and with them their components: no id in
-    the table is reused while the table lives.  Like the memo's (t, s)
+    A pair of one object twice holds, and so does a pair whose first
+    component is a single vertex; a pair whose second component is a
+    single vertex, or smaller, fails.  Any other pair (a, b) is decided by
+    embeds(a, b).  From the memo's second periodic walk on, the verdict
+    also goes into the memo's pair table, keyed by (id(a), id(b)), so a
+    pair that a later walk reads again (shift k + L, the both-ways origin
+    walks, the next shift `_wsum_embeds` tries) costs one dict probe
+    instead of hashing two terms; the first walk has no earlier walk to
+    re-read, and leaves repeats within itself to the memo.  An id names
+    an object only while it lives, so the memo keeps every p and q walked
+    into the table alive, and with them their components: no id in the
+    table is reused while the table lives.  Like the memo's (t, s)
     entries, a verdict holds for the memo's one horizon.  Only yes and no
     are kept: an unknown may be the cycle guard of a pair still being
     decided further up, which `embeds` answers afresh once it is decided
@@ -1574,11 +1618,14 @@ def _periodic_walk(p, q, s, start, horizon, memo, both_ways, reach):
     kp, lp, kq, lq = len(pre_p), len(cyc_p), len(pre_q), len(cyc_q)
     cycle = lcm(lp, lq)
     end = start + max(kp, kq) + cycle
-    pairs = memo.get(_PAIR_TABLE)
-    if pairs is None:
-        pairs = memo[_PAIR_TABLE] = ({}, [])
-    table, alive = pairs
-    alive.append((p, q))
+    table = memo.get(_PAIR_TABLE)
+    if table is None:
+        memo[_PAIR_TABLE] = ()  # one walk made; the table starts with the next
+    else:
+        if not table:
+            table = memo[_PAIR_TABLE] = ({}, [])
+        table, alive = table
+        alive.append((p, q))
 
     def decide(a, b):
         verdict = embeds(a, b, horizon, memo)
@@ -1598,9 +1645,25 @@ def _periodic_walk(p, q, s, start, horizon, memo, both_ways, reach):
             b = pre_q[m] if m < kq else cyc_q[(m - kq) % lq]
         if a is b:
             continue
-        pair = table.get((id(a), id(b))) or decide(a, b)
+        # embeds' own first tests, then the table
+        if a.single:
+            pair = YES
+        elif b.single or a.size > b.size:
+            pair = NO
+        elif table is None:
+            pair = embeds(a, b, horizon, memo)
+        else:
+            pair = table.get((id(a), id(b))) or decide(a, b)
         if both_ways and pair != NO:
-            pair = tri_and(pair, table.get((id(b), id(a))) or decide(b, a))
+            if b.single:
+                back = YES
+            elif a.single or b.size > a.size:
+                back = NO
+            elif table is None:
+                back = embeds(b, a, horizon, memo)
+            else:
+                back = table.get((id(b), id(a))) or decide(b, a)
+            pair = tri_and(pair, back)
         if pair != YES:
             if pair == NO and reach is None:
                 return NO, None

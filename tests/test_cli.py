@@ -260,6 +260,26 @@ def test_strict_mode_flags_undecided(capsys):
     assert main(["analyze", undecided, "--strict"]) == 1
 
 
+def test_strict_examples_flag_an_unknown_twin_count(capsys, monkeypatch):
+    """An undecided twin count makes `examples --strict` exit 1, as it
+    does `analyze --strict`; every built-in's count is decided today."""
+    import scattree.stability
+
+    assert main(["examples", "--strict"]) == 0
+    capsys.readouterr()
+    classify = scattree.stability.classify
+
+    def undecided(t, horizon):
+        cert = classify(t, horizon)
+        cert.twins = "unknown"
+        return cert
+
+    monkeypatch.setattr(scattree.stability, "classify", undecided)
+    assert main(["examples"]) == 0
+    assert main(["analyze", "ex1", "--strict"]) == 1
+    assert main(["examples", "--strict"]) == 1
+
+
 def test_seeded_subset_twins_are_reproducible(capsys):
     args = ["twins", "ex1", "--count", "2", "--seed", "7", "--format", "json"]
     assert main(args) == 0

@@ -7,6 +7,8 @@ import time
 import pytest
 
 from scattree.terms import (
+    BOX,
+    OMEGA_MULT,
     Generated,
     Patched,
     Periodic,
@@ -230,3 +232,34 @@ def test_error_messages(text, message):
     with pytest.raises(TermError) as e:
         parse_term(text)
     assert str(e.value) == message
+
+
+def containers(items):
+    """The same items as a list, a tuple and a generator."""
+    return list(items), tuple(items), (x for x in items)
+
+
+def test_direct_construction_matches_the_parser():
+    a, b = parse_term("succ(box)"), parse_term("wsum([](box))")
+    sup = parse_term("sup(succ(box),wsum([](box))*3,box*w)")
+    for arms in containers([(a, 1), (b, 3), (BOX, OMEGA_MULT)]):
+        t = Sup(arms)
+        assert t == sup and hash(t) == hash(sup)
+        assert t.arms == sup.arms and type(t.arms) is tuple
+    seq = parse_term("wsum([succ(box),box](wsum([](box))))").seq
+    for prefix, cycle in zip(containers([a, BOX]), containers([b])):
+        p = Periodic(prefix, cycle)
+        assert p == seq and hash(p) == hash(seq)
+        assert (p.prefix, p.cycle) == (seq.prefix, seq.cycle)
+        assert type(p.prefix) is type(p.cycle) is tuple
+    patched = parse_term("wsum(patch([](box);2:succ(box),0:wsum([](box))))").seq
+    for patches in containers([(2, a), (0, b)]):
+        p = Patched(Periodic((), (BOX,)), patches)
+        assert p == patched and hash(p) == hash(patched)
+        assert p.patches == patched.patches
+
+
+@pytest.mark.parametrize("m", [0, -1, 1.5, 2.0, "2", None])
+def test_sup_rejects_bad_multiplicities(m):
+    with pytest.raises(TermError, match="arm multiplicity must be a positive integer or w"):
+        Sup([(BOX, 1), (parse_term("succ(box)"), m)])

@@ -17,6 +17,7 @@ from scattree.terms import (
     UNKNOWN,
     WSum,
     YES,
+    _embeds,
     address_distance,
     branch_count,
     builtins,
@@ -497,6 +498,28 @@ def test_embeds_agrees_with_the_finite_oracle():
         assert embeds(t, s) == expected, (format_term(t), format_term(s))
         verdicts.add(expected)
     assert verdicts == {YES, NO}
+
+
+def test_embeds_shortcuts_answer_as_the_full_decision():
+    """embeds settles a pair from the measure fields (one object, a single
+    vertex on either side, a larger source) before it builds a memo key;
+    every answer must be the one `_embeds` gives from a fresh memo."""
+    rng = random.Random(9)
+    pool = []
+    while len(pool) < 400:
+        text = "".join(term(rng, rng.randint(1, 4)))
+        if "gen" not in text:
+            pool.append(parse_term(text))
+    pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(3000)]
+    pairs += [(t, t) for t in pool[:100]]
+    shortcuts = set()
+    for t, s in pairs:
+        assert embeds(t, s) == _embeds(t, s, 16, {}), (format_term(t), format_term(s))
+        if t is s or t.single:
+            shortcuts.add("yes")
+        elif s.single or t.size > s.size:
+            shortcuts.add("no")
+    assert shortcuts == {"yes", "no"}
 
 
 def test_embeds_box_everywhere():
