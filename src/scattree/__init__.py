@@ -4,7 +4,18 @@ small finite trees.
 
 Every name below is re-exported lazily (PEP 562): importing the package
 loads no submodule, and the first access to a name loads only the module
-that defines it, so each command pays only for what it uses."""
+that defines it, so each command pays only for what it uses.  The
+modules by layer:
+
+* `ordinals`: ordinals below ω^ω;
+* `terms`: the term syntax and structure (parse, format, components,
+  stages, measure fields, addresses);
+* `embedding`: root-to-root embedding and the shift relation;
+* `cuts`: truncation cuts, their codes and the expansion of finite terms,
+  the one engine module that builds `finite_trees` values;
+* `ranks`, `ends`, `stability`, `twins`: the analyses;
+* `finite_trees` and `oracle`: finite trees and exhaustive ground truth,
+  the independent oracles the tests check the analyses against."""
 
 __version__ = "0.1.0"
 
@@ -49,15 +60,11 @@ _EXPORTS = {
         "SupSeq",
         "Term",
         "TermError",
-        "Truncation",
         "UNKNOWN",
         "WSum",
         "YES",
         "address_distance",
         "builtins",
-        "embeds",
-        "equimorphic",
-        "expand_finite",
         "format_term",
         "height",
         "is_rayless",
@@ -69,11 +76,10 @@ _EXPORTS = {
         "shift_seq",
         "spine_address",
         "stage",
-        "truncate",
-        "truncation_dot",
-        "truncation_json",
         "vertex_count",
     ),
+    "embedding": ("embeds", "equimorphic"),
+    "cuts": ("Truncation", "expand_finite", "truncate", "truncation_dot", "truncation_json"),
     "ranks": (
         "MANY",
         "RankSummary",

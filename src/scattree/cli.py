@@ -85,7 +85,6 @@ def _cmd_analyze(args):
 
         report = analyze_lpath(parse_lpath(args.term))
         return {"lpath": args.term.strip(), **report}, report["twin_count"] == "unknown"
-    from .ends import shift_report
     from .stability import classify
     from .terms import WSum, format_term, resolve_name
 
@@ -94,6 +93,8 @@ def _cmd_analyze(args):
     rank, undecided = _rank_payload(t)
     payload["rank"] = rank
     if isinstance(t, WSum):
+        from .ends import shift_report
+
         payload["shift"] = json.loads(shift_report(t, args.horizon).to_json())
     if not undecided:
         cert = classify(t, args.horizon)
@@ -144,8 +145,9 @@ def _cmd_twins(args):
 
 
 def _cmd_truncate(args):
+    from .cuts import truncate, truncation_dot, truncation_json
     from .finite_trees import canonical_code
-    from .terms import resolve_name, truncate, truncation_dot, truncation_json
+    from .terms import resolve_name
 
     t = resolve_name(args.term)
     tr = truncate(t, args.depth, args.width)

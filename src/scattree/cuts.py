@@ -1,0 +1,263 @@
+"""Depth-bounded cuts of terms: the finite trees that `truncate` builds,
+their symbolic isomorphism codes (`CutCoder`), the exact expansion of a
+finite term, and the text renderings of a cut.
+
+This is the one module of the engine that builds `finite_trees` values;
+the analysis layers read terms only, and `finite_trees` stays an
+independent oracle for them.
+"""
+
+from __future__ import annotations
+
+import json
+
+from .finite_trees import FiniteTree, RootedFiniteTree
+from .terms import (
+    BOX,
+    INF,
+    OMEGA_MULT,
+    Patched,
+    Periodic,
+    Succ,
+    Sup,
+    SupSeq,
+    Term,
+    TermError,
+    WSum,
+    components,
+    fold,
+    height,
+    stage,
+    vertex_count,
+)
+
+
+class Truncation:
+    __slots__ = ("tree", "root", "lossy", "spine")
+
+    def __init__(self, tree, root, lossy, spine):
+        self.tree = tree
+        self.root = root
+        self.lossy = lossy
+        self.spine = tuple(spine)
+
+    @property
+    def rooted(self):
+        return RootedFiniteTree(self.tree, self.root)
+
+
+def truncate(t: Term, depth: int, width: int = 3) -> Truncation:
+    """Induced subtree of all vertices within `depth` of the root.  Omega
+    multiplicities and supseq families are cut to `width` copies and flagged
+    lossy when that hides anything.  Vertices are numbered depth first,
+    from an explicit stack of tasks, so a deep cut needs no Python
+    recursion."""
+    if depth < 0:
+        raise TermError("depth must be >= 0")
+    edges = []
+    spine = []
+    lossy = False
+    n = 1  # vertices made so far; 0 is the root
+    # tasks, the next on top: (term, v, budget) hangs the cut of term at
+    # vertex v; (seq, j, v, budget) hangs spine vertex j of wsum(seq) below
+    # spine vertex v, with budget the depth left at that wsum's root
+    stack = [(t, 0, depth)]
+    while stack:
+        task = stack.pop()
+        if len(task) == 4:
+            seq, j, v, budget = task
+            w, n = n, n + 1
+            edges.append((v, w))
+            spine.append(w)
+            if j < budget:
+                stack.append((seq, j + 1, w, budget))
+            stack.append((stage(seq, j), w, budget - j))
+            continue
+        term, v, budget = task
+        if term.single:
+            continue  # no vertex below v
+        if isinstance(term, Succ):
+            if budget >= 1:
+                stack.append((term.child, n, budget - 1))
+                edges.append((v, n))
+                n += 1
+            else:
+                lossy = True
+        elif isinstance(term, Sup):
+            copies = []
+            for a, m in term.arms:
+                if not a.single:
+                    if m == OMEGA_MULT:
+                        lossy, m = True, width
+                    copies += [(a, v, budget)] * m
+            stack.extend(reversed(copies))
+        elif isinstance(term, WSum):
+            lossy = True  # the spine is infinite; a cut always hides its tail
+            spine.append(v)
+            if budget >= 1:
+                stack.append((term.seq, 1, v, budget))
+            stack.append((stage(term.seq, 0), v, budget))
+        elif isinstance(term, SupSeq):
+            lossy = True  # `width` members stand for a family that is not all single
+            stack.extend((stage(term.seq, j), v, budget) for j in reversed(range(width)))
+        else:
+            raise TermError(f"bad term {term!r}")
+    return Truncation(FiniteTree(n, edges), 0, lossy, spine)
+
+
+class CutCoder:
+    """Symbolic isomorphism codes of truncation cuts, without building them.
+
+    ``code(t, depth)`` is an integer id of the rooted isomorphism class of
+    ``truncate(t, depth, width).rooted``: the AHU scheme (Aho, Hopcroft and
+    Ullman 1974) with the children's classes interned as a sorted multiset.
+    A cut is a function of (subterm, remaining depth), and a spine vertex's
+    cut of (sequence, spine position, remaining depth), so both the codes
+    and the intern table are memoised on those keys; the work grows with the
+    number of distinct keys, not with the vertices of the cut.  Keys are
+    coded children first by `fold`, so a deep cut (a long spine or succ
+    chain) needs no Python recursion.  Ids are handed out in
+    first-visit order, so they repeat under every hash seed, and two ids are
+    comparable only when the same coder made them.
+    """
+
+    __slots__ = ("width", "_ids", "_memo")
+
+    def __init__(self, width: int):
+        self.width = width
+        self._ids = {}  # sorted ((child id, multiplicity), ...) -> id
+        self._memo = {}  # (term, depth) or (seq, spine position, depth) -> id
+
+    def code(self, t: Term, depth: int) -> int:
+        if depth < 0:
+            raise TermError("depth must be >= 0")
+        return fold((t, depth), self._kids, self._intern, self._memo)
+
+    def _kids(self, key):
+        """{child key: multiplicity} of the cut named by key, in the order
+        truncate hangs the child cuts.  The roots identified at the key's
+        vertex are flattened from an explicit stack, so a sup nest of any
+        depth needs no Python recursion."""
+        if len(key) == 2:
+            t, budget = key
+            last = None
+        else:
+            # spine vertex j of wsum(seq): component j, then spine vertex
+            # j + 1 one level down
+            seq, j, budget = key
+            t = stage(seq, j)
+            last = (*_spine_key(seq, j + 1), budget - 1) if budget >= 1 else None
+        kids = {}
+        # tasks, the next on top: (term, copies) hangs the child cuts at
+        # term's root, and (child key, copies) counts one
+        stack = [(t, 1)]
+        while stack:
+            t, copies = stack.pop()
+            cls = type(t)
+            if cls is Succ:
+                if budget >= 1:
+                    k = (t.child, budget - 1)
+                    kids[k] = kids.get(k, 0) + copies
+            elif cls is Sup:
+                for a, m in reversed(t.arms):
+                    stack.append((a, copies * (self.width if m == OMEGA_MULT else m)))
+            elif cls is tuple:
+                kids[t] = kids.get(t, 0) + copies
+            elif t.single:
+                pass  # a box, or a supseq of boxes: no child cut
+            elif cls is WSum:
+                if budget >= 1:
+                    stack.append(((*_spine_key(t.seq, 1), budget - 1), copies))
+                stack.append((stage(t.seq, 0), copies))
+            elif cls is SupSeq:
+                stack.extend((stage(t.seq, j), copies) for j in reversed(range(self.width)))
+            else:
+                raise TermError(f"bad term {t!r}")
+        if last is not None:
+            kids[last] = kids.get(last, 0) + 1
+        return kids
+
+    def _intern(self, key, kids, memo):
+        shape = {}
+        for k, m in kids.items():
+            c = memo[k]
+            shape[c] = shape.get(c, 0) + m
+        return self._ids.setdefault(tuple(sorted(shape.items())), len(self._ids))
+
+
+def _spine_key(seq, j):
+    """(sequence, position) naming spine vertex j's cut: past the last patch
+    the inner sequence, and a periodic position folded into its first
+    period, so spines that agree from some vertex on share their codes."""
+    if isinstance(seq, Patched) and j > seq.last_patch():
+        seq = seq.inner
+    if isinstance(seq, Periodic) and j >= len(seq.prefix) + len(seq.cycle):
+        j = len(seq.prefix) + (j - len(seq.prefix)) % len(seq.cycle)
+    return seq, j
+
+
+def expand_finite(t: Term) -> RootedFiniteTree:
+    """Exact expansion of a finite term."""
+    h = height(t)
+    if h == INF or vertex_count(t) == INF:
+        raise TermError("term is infinite")
+    tr = truncate(_finite_form(t), int(h))
+    return tr.rooted
+
+
+def _finite_form(t: Term) -> Term:
+    """A finite term with each supseq replaced by the sup of its components
+    that are not single vertices, finitely many: the same tree, which a cut
+    then copies whole however late a patch puts them in the sequence."""
+    return fold(t, _finite_inputs, _finite_node, {})
+
+
+def _finite_inputs(t):
+    if isinstance(t, Succ):
+        return [t.child]
+    if isinstance(t, Sup):
+        return [a for a, _ in t.arms]
+    if isinstance(t, SupSeq):
+        # t is finite, so its recurring components are single vertices
+        return [c for _, c in components(t.seq)[0] if not c.single]
+    return []
+
+
+def _finite_node(t, kids, form):
+    if isinstance(t, Succ):
+        return Succ(form[t.child])
+    if isinstance(t, Sup):
+        return Sup([(form[a], m) for a, m in t.arms])
+    if isinstance(t, SupSeq):
+        return Sup([(form[c], 1) for c in kids] or [(BOX, 1)])
+    return t
+
+
+def truncation_dot(tr: Truncation) -> str:
+    lines = ["graph truncation {"]
+    spine = set(tr.spine)
+    for v in range(tr.tree.n):
+        attrs = ['shape=circle', 'label=""']
+        if v == tr.root:
+            attrs.append("style=bold")
+        if v in spine:
+            attrs = ['shape=square', 'label=""', "style=filled", "fillcolor=lightgray"]
+            if v == tr.root:
+                attrs.append("penwidth=2")
+        lines.append(f"  v{v} [{', '.join(attrs)}];")
+    for u, v in tr.tree.edges():
+        lines.append(f"  v{u} -- v{v};")
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def truncation_json(tr: Truncation) -> str:
+    return json.dumps(
+        {
+            "n": tr.tree.n,
+            "edges": [list(e) for e in tr.tree.edges()],
+            "root": tr.root,
+            "spine": list(tr.spine),
+            "lossy": tr.lossy,
+        }
+    )

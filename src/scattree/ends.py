@@ -9,7 +9,7 @@ k.  An eventual period holds only from some offset u on.  A term is almost
 rigid (path-aligned) when no strict period exists: no spine-aligned
 self-embedding moves the spine.
 
-Every period question is one walk, `terms.shift_walk(seq, seq, k)`: does
+Every period question is one walk, `embedding.shift_walk(seq, seq, k)`: does
 component n embed in component n+k for every n >= u (both ways for the
 origin's equimorphy period)?  One in-order pass per k gives both answers:
 the strict verdict is the walk from 0, and the eventual offset is one past
@@ -64,6 +64,7 @@ import json
 from collections import namedtuple
 from types import MappingProxyType
 
+from .embedding import equimorphic, growth_certificate, shift_walk
 from .terms import (
     NO,
     UNKNOWN,
@@ -76,12 +77,9 @@ from .terms import (
     analysis_cache,
     branch_count,
     components,
-    equimorphic,
-    growth_certificate,
     is_single_vertex,
     root_degree,
     settled_from,
-    shift_walk,
     spine_address,
     stage,
 )

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 
-from .finite_trees import center
 from .ordinals import format_ordinal
 from .ranks import rank_summary
 from .terms import (
@@ -31,12 +30,13 @@ from .terms import (
     NO,
     UNKNOWN,
     YES,
+    Succ,
+    Sup,
     Term,
     WSum,
     components,
     is_rayless,
     is_single_vertex,
-    expand_finite,
     stage,
     vertex_count,
 )
@@ -71,15 +71,12 @@ class StabilityCertificate:
 
 
 def classify(t: Term, horizon: int = 8) -> StabilityCertificate:
-    from .ends import shift_report
-
     notes = []
     if is_rayless(t):
         v = vertex_count(t)
         if v != INF:
-            rooted = expand_finite(t)
-            kind, where = center(rooted.tree)
-            fields = {"center": {"kind": kind, "at": list(where) if kind == "edge" else where}}
+            kind, where = finite_center(t)
+            fields = {"center": {"kind": kind, "at": where}}
             notes.append(
                 "finite tree: every self-embedding is an automorphism and fixes the center"
             )
@@ -116,6 +113,8 @@ def classify(t: Term, horizon: int = 8) -> StabilityCertificate:
     # exactly one end of maximal rank
     fields = {}
     if isinstance(t, WSum):
+        from .ends import shift_report
+
         report = shift_report(t, horizon)
         fields["regular"] = report.regular
         fields["almost_rigid"] = report.almost_rigid
@@ -129,6 +128,65 @@ def classify(t: Term, horizon: int = 8) -> StabilityCertificate:
     return StabilityCertificate(VARIANT_UEF, fields, twins, reason, notes)
 
 
+def finite_center(t: Term):
+    """The center of the finite tree of t, as ("vertex", v) or ("edge",
+    [u, v]), with vertices numbered as `cuts.expand_finite` numbers them:
+    depth first, the root 0, the children of a vertex in the order of the
+    identified roots they hang from, every copy of a multi-copy arm whole
+    before the next.
+
+    The center is the middle of a longest path.  From the root, with `up`
+    the longest path that leaves the current vertex other than downward,
+    the walk steps into the one deepest child while that branch is more
+    than one edge longer than every other way out; then the vertex is the
+    center if its deepest branch equals the best alternative, and else the
+    edge to that child.  A child's number is its parent's plus one plus
+    the sizes of the subtrees hung before it.  The walk reads the `height`
+    and `size` fields only, so its cost grows with the term, not with the
+    tree."""
+    v, up = 0, 0
+    while t.height:
+        child, before, other = _deepest_child(t)
+        alt = max(up, other)
+        if t.height == alt:
+            return "vertex", v
+        if t.height == alt + 1:
+            return "edge", [v, v + 1 + before]
+        t, v, up = child, v + 1 + before, alt + 1
+    return "vertex", v
+
+
+def _deepest_child(t: Term):
+    """(child, before, other) of the root of a finite term t of height at
+    least 1: `child` the child term whose branch reaches t's height, when
+    it is the only one, else None; `before` the number of vertices hung
+    below the root ahead of that child; `other` the longest other branch.
+    The roots identified with t's are walked from the top down, only into
+    the one arm that holds the deepest branch, so no nesting depth needs
+    recursion."""
+    h = t.height
+    before = other = 0
+    while not isinstance(t, Succ):
+        if isinstance(t, Sup):
+            arms = t.arms
+        else:  # a finite supseq: its components that occur once hang at the root
+            arms = [(c, 1) for _, c in components(t.seq)[0]]
+        deep = None
+        for a, m in arms:
+            if a.single:
+                continue
+            if deep is None and m == 1 and a.height == h:
+                deep = a
+                continue
+            other = max(other, a.height)
+            if deep is None:
+                before += m * (a.size - 1)
+        if deep is None or other == h:
+            return None, before, other
+        t = deep
+    return t.child, before, other
+
+
 def twin_cardinality(t: Term, horizon: int = 8):
     """(cardinality, reason) for the number of pairwise non-isomorphic trees
     equimorphic to t.  Rules are tried in order; the first match wins.
@@ -137,12 +195,12 @@ def twin_cardinality(t: Term, horizon: int = 8):
     on the term object, so asking again about the same object, directly or
     through `classify` or the twin constructions, recomputes nothing.  The
     report is shared: do not mutate it."""
-    from .ends import shift_report
-
     if is_rayless(t) and vertex_count(t) != INF:
         return ONE, "finite trees are isomorphic to their twins"
     if not isinstance(t, WSum):
         return UNKNOWN, "twin counting needs a spined sum at the root"
+    from .ends import shift_report
+
     report = shift_report(t, horizon)
     if report.regular == NO and report.almost_rigid == NO:
         return (

@@ -24,15 +24,15 @@ from __future__ import annotations
 import re
 from math import lcm
 
+from .cuts import CutCoder
+from .embedding import embeds
 from .terms import (
     BOX,
     YES,
-    CutCoder,
     Patched,
     Term,
     TermError,
     WSum,
-    embeds,
     settled_from,
     stage,
     tri_and,

@@ -12,6 +12,8 @@ import functools
 import random
 import time
 
+from scattree.cuts import truncate
+from scattree.embedding import embeds
 from scattree.terms import (
     BOX,
     OMEGA_MULT,
@@ -22,12 +24,10 @@ from scattree.terms import (
     WSum,
     YES,
     builtins,
-    embeds,
     format_term,
     level,
     parse_term,
     stage,
-    truncate,
     vertex_count,
 )
 from scattree.ordinals import parse_ordinal

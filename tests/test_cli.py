@@ -230,7 +230,8 @@ def test_sup_nests_compare_without_recursion(capsys):
     # 1500 identified roots above one child each: the children of the root,
     # the branch count and the embedding verdicts need no recursion per
     # level, and the spine over the two nests reads as over their children
-    from scattree.terms import BOX, NO, YES, Succ, branch_count, embeds, parse_term, root_children
+    from scattree.embedding import embeds
+    from scattree.terms import BOX, NO, YES, Succ, branch_count, parse_term, root_children
 
     assert sys.getrecursionlimit() <= 1000
     a_text = "sup(" * 1500 + "succ(box)" + ")" * 1500

@@ -99,6 +99,7 @@ COMMANDS = (
     ["rank", "ex3"],
     ["examples"],
     ["analyze", "ex1"],
+    ["analyze", "sup(succ(succ(box))*2,supseq(patch([](box);4:succ(box))))"],
     ["analyze", "lpath oneway poset{0<a} prefix[] cycle(0,a)"],
     ["twins", "ex1", "--count", "2", "--seed", "3"],
     ["truncate", "ray", "--depth", "3"],
@@ -135,25 +136,58 @@ def test_oracle_loads_no_term_module(loaded):
 def test_rank_loads_no_later_stage(loaded):
     names = loaded[("rank", "ex3")]
     assert "scattree.ranks" in names
-    for module in ("ends", "stability", "twins", "oracle"):
+    for module in ("embedding", "cuts", "finite_trees", "ends", "stability", "twins", "oracle"):
         assert f"scattree.{module}" not in names
+
+
+def test_analyze_loads_the_layers_its_term_needs(loaded):
+    # a finite tree's center is found on its term: nothing is embedded,
+    # cut or expanded
+    names = loaded[("analyze", "sup(succ(succ(box))*2,supseq(patch([](box);4:succ(box))))")]
+    assert "scattree.stability" in names
+    for module in ("embedding", "cuts", "finite_trees", "ends"):
+        assert f"scattree.{module}" not in names
+    # a spined sum's shift analysis embeds components, but cuts nothing
+    names = loaded[("analyze", "ex1")]
+    assert {"scattree.ends", "scattree.embedding"} <= names
+    for module in ("cuts", "finite_trees"):
+        assert f"scattree.{module}" not in names
+
+
+def test_truncate_loads_no_embedding(loaded):
+    names = loaded[("truncate", "ray", "--depth", "3")]
+    assert {"scattree.cuts", "scattree.finite_trees"} <= names
+    for module in ("embedding", "ranks"):
+        assert f"scattree.{module}" not in names
+
+
+def test_analysis_layers_import_nothing_from_finite_trees():
+    """`finite_trees` is an oracle for the analysis, not a part of it: only
+    `cuts` builds its trees, and no analysis layer imports `cuts`."""
+    for name in ("terms", "ranks", "ends", "stability"):
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert not imported & {"finite_trees", "cuts"}, name
+    assert "expand_finite" not in _read(ast.parse((PACKAGE / "stability.py").read_text()))
 
 
 def test_no_command_loads_dataclasses(loaded):
     assert [argv for argv, names in loaded.items() if "dataclasses" in names] == []
 
 
-# the names `scattree` exported when it imported every submodule eagerly
+# the names `scattree` exported when it imported every submodule eagerly, by
+# the module that defines them
 EXPORTS = {
     "ordinals": "NotASuccessorError Ordinal OMEGA ONE ZERO format_ordinal parse_ordinal",
     "finite_trees": "EndoClassification FiniteTree RootedFiniteTree TreeError automorphisms "
     "canonical_code center classify_automorphism is_isomorphic iter_automorphisms path_tree "
     "rooted_embeds star_tree unrooted_code",
     "terms": "BOX Box ComponentSeq Context Generated NO Patched Periodic Succ Sup SupSeq Term "
-    "TermError Truncation UNKNOWN WSum YES address_distance builtins embeds equimorphic "
-    "expand_finite format_term height is_rayless join_address level parse_term resolve "
-    "resolve_name shift_seq spine_address stage truncate truncation_dot truncation_json "
+    "TermError UNKNOWN WSum YES address_distance builtins format_term height is_rayless "
+    "join_address level parse_term resolve resolve_name shift_seq spine_address stage "
     "vertex_count",
+    "embedding": "embeds equimorphic",
+    "cuts": "Truncation expand_finite truncate truncation_dot truncation_json",
     "ranks": "MANY RankSummary RankUndecided build_rank_witness lim_member rank_summary",
     "ends": "OriginUndefined ShiftReport origin_vertex regular_components shift_report",
     "stability": "StabilityCertificate classify twin_cardinality",
@@ -181,3 +215,29 @@ def test_every_export_resolves_to_its_module_attribute():
     assert scattree.__version__ == "0.1.0"
     with pytest.raises(AttributeError):
         scattree.no_such_name
+
+
+def test_terms_reexports_the_later_layers_on_first_access():
+    """`terms` names what `embedding` and `cuts` define without loading them:
+    the first access loads the defining module and binds the name, so it
+    stays one object under every path."""
+    probe = (
+        "import sys\n"
+        "from scattree import terms\n"
+        "assert 'scattree.embedding' not in sys.modules and 'scattree.cuts' not in sys.modules\n"
+        "embeds = terms.embeds\n"
+        "assert 'scattree.cuts' not in sys.modules and 'embeds' in vars(terms)\n"
+        "from scattree import cuts, embedding\n"
+        "assert embeds is embedding.embeds and terms.truncate is cuts.truncate\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    from scattree import terms
+
+    for module, names in terms._LATER.items():
+        home = importlib.import_module(f"scattree.{module}")
+        for name in names:
+            assert getattr(terms, name) is getattr(home, name), name
+    with pytest.raises(AttributeError):
+        terms.no_such_name

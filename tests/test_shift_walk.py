@@ -24,7 +24,9 @@ and a walk count checks that the horizon no longer sets the cost.
 import random
 from math import lcm
 
-from scattree import ends, terms
+from scattree import embedding, ends
+from scattree.cuts import expand_finite
+from scattree.embedding import embeds, shift_walk
 from scattree.ends import shift_report
 from scattree.finite_trees import rooted_embeds
 from scattree.stability import classify
@@ -39,12 +41,9 @@ from scattree.terms import (
     Sup,
     WSum,
     components,
-    embeds,
-    expand_finite,
     format_seq,
     parse_term,
     settled_from,
-    shift_walk,
     stage,
     tri_and,
 )
@@ -116,9 +115,9 @@ def dense_walk(p, q, s, both_ways=False, reach=None):
     memo, end = {}, window(p, q)
     verdict, last = YES, -1
     for n in range(end):
-        pair = terms._stage_embeds(p, n, q, n + s, 16, memo)
+        pair = embedding._stage_embeds(p, n, q, n + s, 16, memo)
         if both_ways and pair != NO:
-            pair = tri_and(pair, terms._stage_embeds(q, n + s, p, n, 16, memo))
+            pair = tri_and(pair, embedding._stage_embeds(q, n + s, p, n, 16, memo))
         if pair != YES:
             if pair == NO and reach is None:
                 return NO, None
@@ -189,7 +188,7 @@ class PairBudget:
 
     def __init__(self, monkeypatch):
         self.walks = self.pairs = 0
-        walk, head, pair = terms.shift_walk, terms._periodic_head, terms._stage_embeds
+        walk, head, pair = embedding.shift_walk, embedding._periodic_head, embedding._stage_embeds
 
         def counted_walk(*args, **kwargs):
             self.walks += 1
@@ -208,10 +207,10 @@ class PairBudget:
             spend(1)
             return pair(*args)
 
-        monkeypatch.setattr(terms, "shift_walk", counted_walk)
+        monkeypatch.setattr(embedding, "shift_walk", counted_walk)
         monkeypatch.setattr(ends, "shift_walk", counted_walk)
-        monkeypatch.setattr(terms, "_periodic_head", counted_head)
-        monkeypatch.setattr(terms, "_stage_embeds", counted_pair)
+        monkeypatch.setattr(embedding, "_periodic_head", counted_head)
+        monkeypatch.setattr(embedding, "_stage_embeds", counted_pair)
 
 
 def test_far_patches_cost_bounded_work(monkeypatch):
@@ -292,13 +291,13 @@ def test_far_patch_in_the_source_bounds_the_shifts_tried(monkeypatch):
     q's cycle, so embedding a wsum into a periodic one tries one cycle of
     shifts past there, however late the source's patches sit."""
     shifts = []
-    walk = terms.shift_walk
+    walk = embedding.shift_walk
 
     def counted_walk(p, q, s, *args, **kwargs):
         shifts.append(s)
         return walk(p, q, s, *args, **kwargs)
 
-    monkeypatch.setattr(terms, "shift_walk", counted_walk)
+    monkeypatch.setattr(embedding, "shift_walk", counted_walk)
     ray = parse_term("wsum([](box))")
     comb = parse_term("wsum([box](succ(box),box))")
     for far in (100000, 99999999):

@@ -3,6 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scattree.cuts import expand_finite, truncate, truncation_dot
+from scattree.embedding import _embeds, embeds, equimorphic
 from scattree.finite_trees import canonical_code, rooted_embeds
 from scattree.terms import (
     BOX,
@@ -17,13 +19,9 @@ from scattree.terms import (
     UNKNOWN,
     WSum,
     YES,
-    _embeds,
     address_distance,
     branch_count,
     builtins,
-    embeds,
-    equimorphic,
-    expand_finite,
     format_term,
     height,
     is_rayless,
@@ -38,8 +36,6 @@ from scattree.terms import (
     shift_seq,
     spine_address,
     stage,
-    truncate,
-    truncation_dot,
     vertex_count,
 )
 from test_parse import context, depth, plain, term  # the parser tests' grammar

@@ -8,21 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scattree
+from scattree.cuts import CutCoder, truncate
+from scattree.embedding import equimorphic
 from scattree.finite_trees import canonical_code
 from scattree.stability import CONTINUUM, ONE
-from scattree.terms import (
-    BOX,
-    CutCoder,
-    Succ,
-    TermError,
-    UNKNOWN,
-    YES,
-    builtins,
-    equimorphic,
-    parse_term,
-    resolve_name,
-    truncate,
-)
+from scattree.terms import BOX, Succ, TermError, UNKNOWN, YES, builtins, parse_term, resolve_name
 from scattree.twins import (
     Poset,
     almost_disjoint_family,
@@ -385,7 +375,8 @@ def test_cut_codes_match_canonical_codes_of_truncations():
 
 
 _PRINT_CODES = """
-from scattree.terms import CutCoder, builtins
+from scattree.cuts import CutCoder
+from scattree.terms import builtins
 from scattree.twins import twin_from_subset, twin_n, verify_twins
 ex1 = builtins()["ex1"]
 coder = CutCoder(3)
@@ -447,6 +438,19 @@ def test_deep_cuts_code_without_recursion():
     coder = CutCoder(2)
     assert coder.code(chain, 3000) == coder.code(parse_term("wsum([](box))"), 3000)
     assert coder.code(chain, 3000) != coder.code(chain, 2999)
+
+
+def test_sup_nests_code_without_recursion():
+    # 1500 identified roots above one edge: the same cut as the edge alone,
+    # and a generated spine of such nests verifies its twins
+    assert sys.getrecursionlimit() <= 1000
+    nest = parse_term("sup(" * 1500 + "succ(box)" + ")" * 1500)
+    coder = CutCoder(6)
+    assert coder.code(nest, 3) == coder.code(parse_term("succ(box)"), 3)
+    t = parse_term("wsum(gen(box;" + "sup(" * 1500 + "succ(_)" + ")" * 1500 + "))")
+    report = verify_twins(t, [twin_n(t, j) for j in (1, 2)])
+    assert report["mutual"] == [YES, YES]
+    assert report["ok"]
 
 
 def test_member_patched_past_the_reach_cap_gets_a_verdict():
