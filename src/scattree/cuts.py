@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 
-from .finite_trees import FiniteTree, RootedFiniteTree
 from .terms import (
     BOX,
     INF,
@@ -43,6 +42,8 @@ class Truncation:
 
     @property
     def rooted(self):
+        from .finite_trees import RootedFiniteTree
+
         return RootedFiniteTree(self.tree, self.root)
 
 
@@ -52,6 +53,8 @@ def truncate(t: Term, depth: int, width: int = 3) -> Truncation:
     lossy when that hides anything.  Vertices are numbered depth first,
     from an explicit stack of tasks, so a deep cut needs no Python
     recursion."""
+    from .finite_trees import FiniteTree
+
     if depth < 0:
         raise TermError("depth must be >= 0")
     edges = []
@@ -196,8 +199,8 @@ def _spine_key(seq, j):
     return seq, j
 
 
-def expand_finite(t: Term) -> RootedFiniteTree:
-    """Exact expansion of a finite term."""
+def expand_finite(t: Term):
+    """Exact expansion of a finite term, as a `finite_trees.RootedFiniteTree`."""
     h = height(t)
     if h == INF or vertex_count(t) == INF:
         raise TermError("term is infinite")

@@ -24,8 +24,8 @@ from .terms import (
     SupSeq,
     Term,
     WSum,
+    components,
     root_children,
-    settled_from,
     stage,
     tri_and,
 )
@@ -193,18 +193,13 @@ def _wsum_embeds(p, q, horizon, memo):
         if v0 != INF and v1 != INF and v1 > v0 and INF not in caps:
             return NO
         return UNKNOWN
-    inner_p, inner_q = _inner(p), _inner(q)
-    periodic = isinstance(inner_p, Periodic) and isinstance(inner_q, Periodic)
+    periodic = isinstance(_inner(p), Periodic) and isinstance(_inner(q), Periodic)
     if periodic:
-        # from q's last patch and prefix on, q[n + s] is the cycle member
-        # fixed by n + s modulo q's cycle for every n, so the verdict at s
-        # repeats at s + len(cycle): one cycle of shifts past there is
-        # exhaustive, however late p's patches sit
-        s_max = settled_from(q) + len(inner_q.cycle) - 1
+        shifts = _shift_table(p, q, horizon, memo).shifts_to_try()
     else:
-        s_max = horizon
+        shifts = range(horizon + 1)
     saw_unknown = False
-    for s in range(s_max + 1):
+    for s in shifts:
         verdict = shift_walk(p, q, s, horizon, memo)[0]
         if verdict == YES:
             return YES
@@ -219,56 +214,57 @@ def _wsum_embeds(p, q, horizon, memo):
 # the last patch sits.
 _EARLY_STAGE = 4
 
-# The memo key of the pair table of periodic walks (`_periodic_walk`); the
-# memo's other keys are (term, term) pairs
-_PAIR_TABLE = object()
-
-_NO_PATCHES = {}  # the patch map of an unpatched sequence; never written
+# The memo keys of the shift tables (`_ShiftTable`), as (_TABLES, id(p),
+# id(q)), and of the table of pair verdicts they share; the memo's other
+# keys are (term, term) pairs
+_TABLES = object()
+_PAIRS = object()
 
 
 def shift_walk(p, q, s, horizon=16, memo=None, both_ways=False, reach=None):
     """The shift relation: does component p[n] embed in component q[n + s]
     for every n >= u?  With `both_ways` each pair must embed both ways
-    (equimorphy).  The walk reads a finite window, in position order.  T
-    is the transient, the last patch on either side plus 1; past it both
-    sides are their inner sequences.
+    (equimorphy).
 
-    * Periodic inner sequences (`_periodic_walk`): the pairs n < E = T +
-      max(prefix) + L, L = lcm(cycles); later pairs repeat the last L of
-      these.  Of the head, only the marked pairs are read
-      (`_periodic_head`): those where p[n] or q[n + s] is a prefix entry
-      or a patch.  Every other pair is a pair of cycle members fixed by
-      n mod L, which the last window [E - L, E) reads again, so skipping
-      it changes neither the verdict nor u, and the work grows with the
-      patches and the period, not with T.  Each pair's two components are
-      read straight off the prefixes, cycles and patch maps, and each
-      pair of objects is decided once per memo.
-    * Generated inner sequences with one context: every pair n < T, each
-      through `_stage_embeds`, then the pair at min(T, 4), whose yes
-      carries to every later pair because the context preserves
-      embeddings; failing that, the pair at T, the only one whose no
-      refutes.
+    * Periodic inner sequences: call a position marked when it holds a
+      prefix entry or a patch, and let L = lcm(cycles).  The pairs
+      (p[n], q[n + s]) are of four kinds: both sides marked; p[n] marked
+      and q[n + s] not; q[m] marked and p[m - s] not, for m >= s; and
+      neither marked, two cycle members fixed by n mod L and s mod L.  The
+      first three are read at the marks, however far out they sit.  The
+      last kind is the tail class of s mod L: L pairs, read on L positions
+      past every mark, and decided once per memo and direction by the
+      memo's shift table of (p, q) (`_ShiftTable`).  A failing pair of the
+      class recurs once per L positions, so a failing class fails the walk
+      and leaves no eventual offset; under a class that holds, u is one
+      past the last marked pair that is not yes.
+    * Generated inner sequences with one context: every pair n < T, where
+      T is one past the last patch on either side, each through
+      `_stage_embeds`, then the pair at min(T, 4), whose yes carries to
+      every later pair because the context preserves embeddings; failing
+      that, the pair at T, the only one whose no refutes.  u is one past
+      the last pair read that is not yes.
     * Anything else: unknown.
 
     Returns (verdict, u): the verdict for u = 0, and the least offset u
-    from which the relation holds, one past the last pair read that is not
-    yes, or None when none is found.  Without `reach` the walk stops at the
-    first no, with u None.  With it the walk reads every head pair, and a
-    generated tail that fails at T is scanned up to `reach` pairs further
-    for a pair that holds.
+    from which the relation holds, or None when none is found.  Without
+    `reach` a no returns (no, None) as soon as it is read.  With it u is
+    always sought: every marked pair under a class that holds is read, and
+    a generated tail that fails at T is scanned up to `reach` pairs
+    further for a pair that holds.
     """
     if memo is None:
         memo = {}
     inner_p, inner_q = _inner(p), _inner(q)
-    start = _transient(p, q)
     if isinstance(inner_p, Periodic) and isinstance(inner_q, Periodic):
-        return _periodic_walk(p, q, s, start, horizon, memo, both_ways, reach)
+        return _shift_table(p, q, horizon, memo).walk(s, both_ways, reach, memo)
     if not (
         isinstance(inner_p, Generated)
         and isinstance(inner_q, Generated)
         and inner_p.context == inner_q.context
     ):
         return UNKNOWN, None
+    start = _transient(p, q)
 
     def holds(a, n, b):
         verdict = _stage_embeds(a, n, b, n + s, horizon, memo)
@@ -296,114 +292,171 @@ def shift_walk(p, q, s, horizon=16, memo=None, both_ways=False, reach=None):
     return verdict, None
 
 
-def _periodic_walk(p, q, s, start, horizon, memo, both_ways, reach):
-    """`shift_walk` over two sequences with periodic inner sequences.
-
-    A pair of one object twice holds, and so does a pair whose first
-    component is a single vertex; a pair whose second component is a
-    single vertex, or smaller, fails.  Any other pair (a, b) is decided by
-    embeds(a, b).  From the memo's second periodic walk on, the verdict
-    also goes into the memo's pair table, keyed by (id(a), id(b)), so a
-    pair that a later walk reads again (shift k + L, the both-ways origin
-    walks, the next shift `_wsum_embeds` tries) costs one dict probe
-    instead of hashing two terms; the first walk has no earlier walk to
-    re-read, and leaves repeats within itself to the memo.  An id names
-    an object only while it lives, so the memo keeps every p and q walked
-    into the table alive, and with them their components: no id in the
-    table is reused while the table lives.  Like the memo's (t, s)
-    entries, a verdict holds for the memo's one horizon.  Only yes and no
-    are kept: an unknown may be the cycle guard of a pair still being
-    decided further up, which `embeds` answers afresh once it is decided
-    (the guard fires on none of the benchmark's operations).
-    """
-    pre_p, cyc_p, patch_p = _periodic_parts(p)
-    pre_q, cyc_q, patch_q = _periodic_parts(q)
-    kp, lp, kq, lq = len(pre_p), len(cyc_p), len(pre_q), len(cyc_q)
-    cycle = lcm(lp, lq)
-    end = start + max(kp, kq) + cycle
-    table = memo.get(_PAIR_TABLE)
+def _shift_table(p, q, horizon, memo):
+    """The memo's shift table of (p, q), built on first use."""
+    key = (_TABLES, id(p), id(q))
+    table = memo.get(key)
     if table is None:
-        memo[_PAIR_TABLE] = ()  # one walk made; the table starts with the next
-    else:
-        if not table:
-            table = memo[_PAIR_TABLE] = ({}, [])
-        table, alive = table
-        alive.append((p, q))
+        table = memo[key] = _ShiftTable(p, q, horizon, memo.setdefault(_PAIRS, {}))
+    return table
 
-    def decide(a, b):
-        verdict = embeds(a, b, horizon, memo)
-        if verdict != UNKNOWN:
-            table[id(a), id(b)] = verdict
-        return verdict
 
-    verdict, last = YES, -1  # last: the last pair read that is not yes
-    for n in _periodic_head(p, q, s, start, end, cycle):
-        # a = stage(p, n) and b = stage(q, n + s), without the calls
-        a = patch_p.get(n)
-        if a is None:
-            a = pre_p[n] if n < kp else cyc_p[(n - kp) % lp]
-        m = n + s
-        b = patch_q.get(m)
-        if b is None:
-            b = pre_q[m] if m < kq else cyc_q[(m - kq) % lq]
-        if a is b:
-            continue
-        # embeds' own first tests, then the table
-        if a.single:
-            pair = YES
-        elif b.single or a.size > b.size:
-            pair = NO
-        elif table is None:
-            pair = embeds(a, b, horizon, memo)
-        else:
-            pair = table.get((id(a), id(b))) or decide(a, b)
-        if both_ways and pair != NO:
-            if b.single:
-                back = YES
-            elif a.single or b.size > a.size:
-                back = NO
-            elif table is None:
-                back = embeds(b, a, horizon, memo)
+class _ShiftTable:
+    """The shift relation between two sequences p and q whose inner
+    sequences are periodic (`shift_walk`), one table per memo: both
+    layouts, and the verdict of each tail class and direction decided so
+    far.
+
+    `marked` lists the positions of a shift's marked pairs and `tail` those
+    of its class; `read` takes each pair's two components straight off the
+    marks and the cycles, and builds no object per pair, which would give
+    the cycle collector work in proportion to the pairs read.  One object
+    twice holds, a pair whose measure fields settle it costs no call, and
+    any other pair is decided by `embeds` once per memo, its verdict kept
+    in the memo's pair table keyed by the two objects' ids.
+    An id names an object only while it lives, so the memo keeps every
+    table, and with it p, q and their components, alive: no id in the pair
+    table is reused while it lives.  The table does not hold the memo that
+    holds it, so a finished memo is freed at once, not left to the cycle
+    collector: each walk passes the memo in.  Like the memo's (t, s)
+    entries, a verdict holds for the memo's one horizon.  Only yes and no
+    are kept, for pairs and for classes: an unknown may be the cycle guard
+    of a pair still being decided further up, which `embeds` answers
+    afresh once it is decided.
+    """
+
+    __slots__ = (
+        "p", "q", "horizon", "pairs", "classes", "marks_p", "marks_q", "cyc_p", "cyc_q", "kp",
+        "kq", "cycle", "window",
+    )
+
+    def __init__(self, p, q, horizon, pairs):
+        self.p, self.q, self.horizon, self.pairs = p, q, horizon, pairs
+        self.classes = {}  # (s mod L, both_ways) -> yes or no
+        once_p, cyc_p, _ = components(p)
+        once_q, cyc_q, _ = components(q)
+        # position -> term at each mark, in position order
+        self.marks_p, self.marks_q = dict(once_p), dict(once_q)
+        self.cyc_p, self.cyc_q = cyc_p, cyc_q
+        self.kp, self.kq = len(_inner(p).prefix), len(_inner(q).prefix)
+        self.cycle = lcm(len(cyc_p), len(cyc_q))
+        # the first of L positions past every mark on either side
+        self.window = max(once_p[-1][0] + 1 if once_p else 0, once_q[-1][0] + 1 if once_q else 0)
+
+    def shifts_to_try(self):
+        """The shifts s, in increasing order, whose verdicts decide whether
+        some shift of p along q holds: 0, the differences D = {m - n >= 0 :
+        m marked in q, n marked in p}, and one shift per class of s mod L_q
+        from q's settled point S_q on (L_q: q's cycle length).
+
+        From S_q on, q[n + s] is the cycle member fixed by n + s mod L_q,
+        so a shift s >= S_q reads the pairs of its class's representative
+        r in [S_q, S_q + L_q).  A shift s < S_q outside D has a superset of
+        r's pairs.  At each n where q[n + s] is unmarked, s and r read the
+        same pair.  At each n where q[n + s] is marked, p[n] is unmarked (s
+        is not in D), and r's pair there, two cycle members, is the pair s
+        reads at n + jL for j large enough, L the lcm of the cycles.  So s
+        holds only if r does, and is unknown only if r is unknown or holds:
+        leaving s out changes neither a yes nor a no.  D lies below S_q and
+        takes a step per pair of marks to list, so when there are S_q such
+        pairs or more, every shift below S_q is tried instead."""
+        yield 0  # first: the shift that most often holds, for free
+        marks_p, marks_q = self.marks_p, self.marks_q
+        settled = next(reversed(marks_q)) + 1 if marks_q else 0
+        top = settled + len(self.cyc_q)
+        if len(marks_p) * len(marks_q) >= settled:
+            yield from range(1, top)
+            return
+        shifts = {m - n for m in marks_q for n in marks_p if m > n}
+        yield from sorted(shifts)
+        yield from range(max(settled, 1), top)
+
+    def walk(self, s, both_ways, reach, memo):
+        """`shift_walk` at shift s: the tail class, then, unless it fails,
+        the marked pairs.  A failing class settles the walk, no with no
+        offset, before any marked pair is read."""
+        key = (s % self.cycle, both_ways)
+        tail = self.classes.get(key)
+        if tail is None:
+            tail = self.read(self.tail(), s, both_ways, True, memo)[0]
+            if tail != UNKNOWN:
+                self.classes[key] = tail
+        if tail == NO:
+            return NO, None
+        verdict, last = YES, -1  # last: the greatest marked n whose pair is not yes
+        if self.marks_p or self.marks_q:
+            verdict, last = self.read(self.marked(s), s, both_ways, reach is None or tail != YES, memo)
+        if tail == YES and (verdict != NO or reach is not None):
+            return verdict, last + 1
+        return (NO if verdict == NO else UNKNOWN), None
+
+    def marked(self, s):
+        """The positions n where p[n] or q[n + s] is marked: p's marks, then
+        each n = m - s for a mark m of q that p leaves unmarked, each in
+        position order."""
+        marks_p = self.marks_p
+        positions = list(marks_p)
+        for m in self.marks_q:
+            n = m - s
+            if n >= 0 and n not in marks_p:
+                positions.append(n)
+        return positions
+
+    def tail(self):
+        """The L window positions n, where p[n] and q[n + s] are cycle
+        members for every shift s: read at s, the tail class of s mod L."""
+        return range(self.window, self.window + self.cycle)
+
+    def read(self, positions, s, both_ways, stop, memo):
+        """(verdict, last) over the pairs p[n], q[n + s] at the positions, in
+        order: the conjunction of p[n] into q[n + s] (and back, with
+        `both_ways`), and the greatest n whose pair is not yes, or -1.
+        With `stop` the read ends at the first no."""
+        marks_p, marks_q, verdicts = self.marks_p, self.marks_q, self.pairs
+        cyc_p, cyc_q, kp, kq = self.cyc_p, self.cyc_q, self.kp, self.kq
+        lp, lq = len(cyc_p), len(cyc_q)
+        verdict, last = YES, -1
+        for n in positions:
+            # a = stage(p, n) and b = stage(q, n + s), without the calls
+            a = marks_p.get(n) or cyc_p[(n - kp) % lp]
+            b = marks_q.get(n + s) or cyc_q[(n + s - kq) % lq]
+            if a is b:
+                continue
+            # embeds' own first tests, then the pair table
+            if a.single:
+                pair = YES
+            elif b.single or a.size > b.size:
+                pair = NO
             else:
-                back = table.get((id(b), id(a))) or decide(b, a)
-            pair = tri_and(pair, back)
-        if pair != YES:
-            if pair == NO and reach is None:
-                return NO, None
-            verdict, last = tri_and(verdict, pair), n
-    return verdict, (last + 1 if last < end - cycle else None)
+                pair = verdicts.get((id(a), id(b))) or self.decide(a, b, memo)
+            if both_ways and pair != NO:
+                if b.single:
+                    back = YES
+                elif a.single or b.size > a.size:
+                    back = NO
+                else:
+                    back = verdicts.get((id(b), id(a))) or self.decide(b, a, memo)
+                if back != YES:
+                    pair = back
+            if pair != YES:
+                if pair == NO and stop:
+                    return NO, n
+                if verdict != NO:
+                    verdict = pair
+                if n > last:
+                    last = n
+        return verdict, last
 
-
-def _periodic_head(p, q, s, start, end, cycle):
-    """The positions n, in order, whose pairs p[n], q[n + s] a periodic
-    walk reads below its window end `end`.  A pair away from the prefixes
-    and the patches is a pair of cycle members fixed by n mod cycle, so the
-    last window reads it again; most heads are shorter than a cycle and
-    skip nothing, so they are read whole without building a list."""
-    if start <= cycle:
-        return range(end)
-    marked = set(range(max(len(_inner(p).prefix), len(_inner(q).prefix) - s)))
-    marked.update(n for n, _ in _patches(p))
-    marked.update(n - s for n, _ in _patches(q) if n >= s)
-    return [*sorted(marked), *range(end - cycle, end)]
-
-
-def _periodic_parts(seq):
-    """(prefix, cycle, patch map) of a sequence whose inner sequence is
-    periodic; the patch map is read only."""
-    if isinstance(seq, Patched):
-        return seq.inner.prefix, seq.inner.cycle, seq._map
-    return seq.prefix, seq.cycle, _NO_PATCHES
+    def decide(self, a, b, memo):
+        verdict = embeds(a, b, self.horizon, memo)
+        if verdict != UNKNOWN:
+            self.pairs[id(a), id(b)] = verdict
+        return verdict
 
 
 def _inner(seq):
     """The sequence under the patches."""
     return seq.inner if isinstance(seq, Patched) else seq
-
-
-def _patches(seq):
-    """The (position, term) overrides of seq, in position order."""
-    return seq.patches if isinstance(seq, Patched) else ()
 
 
 def _transient(p, q):

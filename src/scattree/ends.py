@@ -11,13 +11,13 @@ self-embedding moves the spine.
 
 Every period question is one walk, `embedding.shift_walk(seq, seq, k)`: does
 component n embed in component n+k for every n >= u (both ways for the
-origin's equimorphy period)?  One in-order pass per k gives both answers:
-the strict verdict is the walk from 0, and the eventual offset is one past
-the last pair that is not yes, when the tail holds.  Over a periodic inner
-sequence the pass reads only the pairs at prefix entries and patches, and
-one cycle window past the last patch: every other pair is a pair of cycle
-members that the window reads again.  So a patch at position 10^8 costs
-what a patch at position 10 does.
+origin's equimorphy period)?  One walk per k gives both answers: the
+strict verdict is the walk from 0, and the eventual offset is one past the
+last pair that is not yes, when the tail holds.  Over a periodic inner
+sequence the walk reads the pairs at prefix entries and patches, and the
+tail class of k: the pairs of cycle members, which depend only on k modulo
+the cycle length.  So a patch at position 10^8 costs what a patch at
+position 10 does.
 
 Nor does the horizon set the cost when no generated tail is left.  Let S
 be the first position past the prefix and the patches (`settled_from`) and
@@ -30,18 +30,16 @@ origin search skips it.  At most max(S, 1) + L - 1 shifts are walked,
 whatever the horizon, and from that horizon on every shift class has been
 walked, so a spine with no strict period among them is almost rigid.
 
-The walks of one report share one memo, and so do the pairs they read.
-Over periodic inner sequences a walk takes each pair's two components
-straight from the prefix, the cycle and the patch map; one object twice
-holds, a pair whose measure fields settle it costs no call, and any other
-pair is decided by `embeds` once per memo, its verdict kept, from the
-memo's second walk on, in a table keyed by the two objects' ids.  That is
-sound because the memo keeps every sequence walked into the table, and so
-every component, alive as long as the table (no id is reused meanwhile),
-and because a memo serves one horizon, as its (term, term) entries already
-assume.  Shifts k and k + L, the origin's both-ways walks and the shifts
-`embeds` tries read many pairs again; each costs a dict probe, not two
-term hashes.
+The walks of one report share one memo, and with it one shift table
+(`embedding._ShiftTable`) that keeps what the walks decide.  Each tail
+class is decided once per direction, so shifts k and k + L read its pairs
+once, and so do the origin's both-ways walks of one class.  A class that
+fails settles its shift before any pair at a mark is read.  Every
+other pair is decided by `embeds` once per memo, its verdict kept in a
+table keyed by the two component objects' ids; that is sound because the
+memo keeps every walked sequence, and so every component, alive as long as
+the table, and because a memo serves one horizon, as its (term, term)
+entries already assume.
 
 Regularity asks whether the components fall into finitely many equimorphy
 classes.  Certificates:

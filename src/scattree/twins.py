@@ -24,8 +24,6 @@ from __future__ import annotations
 import re
 from math import lcm
 
-from .cuts import CutCoder
-from .embedding import embeds
 from .terms import (
     BOX,
     YES,
@@ -570,6 +568,9 @@ def verify_twins(t: Term, twins, horizon: int = 12) -> dict:
     Members patched past MAX_REACH may come out `unknown` or share a code:
     the family is then reported unverified, never wrongly verified.
     """
+    from .cuts import CutCoder
+    from .embedding import embeds
+
     items = [t] + list(twins)
     patched = [x.seq.last_patch() for x in items if isinstance(x, WSum)]
     reach = min(max((n + 2 for n in patched if n >= 0), default=0), MAX_REACH)

@@ -102,6 +102,7 @@ COMMANDS = (
     ["analyze", "sup(succ(succ(box))*2,supseq(patch([](box);4:succ(box))))"],
     ["analyze", "lpath oneway poset{0<a} prefix[] cycle(0,a)"],
     ["twins", "ex1", "--count", "2", "--seed", "3"],
+    ["twins", "lpath oneway poset{a,b} prefix[] cycle(a,b)"],
     ["truncate", "ray", "--depth", "3"],
     ["rank", "wsum("],
 )
@@ -152,6 +153,18 @@ def test_analyze_loads_the_layers_its_term_needs(loaded):
     assert {"scattree.ends", "scattree.embedding"} <= names
     for module in ("cuts", "finite_trees"):
         assert f"scattree.{module}" not in names
+
+
+def test_twins_loads_the_layers_its_input_needs(loaded):
+    # a labelled path is counted on its labels: nothing is embedded or cut
+    names = loaded[("twins", "lpath oneway poset{a,b} prefix[] cycle(a,b)")]
+    assert "scattree.twins" in names
+    for module in ("cuts", "embedding", "finite_trees"):
+        assert f"scattree.{module}" not in names
+    # a term's family is verified on symbolic cut codes: no finite tree is built
+    names = loaded[("twins", "ex1", "--count", "2", "--seed", "3")]
+    assert {"scattree.cuts", "scattree.embedding"} <= names
+    assert "scattree.finite_trees" not in names
 
 
 def test_truncate_loads_no_embedding(loaded):

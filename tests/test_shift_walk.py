@@ -3,16 +3,18 @@
 A seeded generator draws pairs of periodic or patched periodic sequences
 whose components are small finite trees, and a shift s.  Every component
 expands exactly, so each pair p[n] -> q[n + s] can be decided by the
-finite oracle `rooted_embeds`.  The walk reads a window of T + max(prefix)
-+ lcm(cycles) pairs; the expansion checks three times as many.
+finite oracle `rooted_embeds`.  The dense reference reads a window of T +
+max(prefix) + lcm(cycles) pairs; the expansion checks three times as many.
 
-Of the head the walk reads only the marked pairs, where a side is a prefix
-entry or a patch, and the last cycle window.  A dense reference that reads
-every pair in order checks that this changes no answer, and a count of
-the positions `_periodic_head` hands the walk checks that patches far out
-cost no more than near ones.  The walk decides each pair of component
-objects once per memo, keyed by their ids; walks over short-lived
-sequences that share one memo check that it answers as fresh memos do.
+The walk reads only the marked pairs, where a side is a prefix entry or a
+patch, and the tail class of s modulo the cycle, which its memo's shift
+table decides once per direction.  A dense reference that reads every
+pair in order checks that this changes no answer, at shifts s and s + L
+from one memo, and a count of the pairs the table lists checks that
+patches far out cost no more than near ones.  The walk decides each pair
+of component objects once per memo, keyed by their ids; walks over
+short-lived sequences that share one memo check that it answers as fresh
+memos do.
 
 `shift_report` walks a shift k only below max(S, 1) + L, where S is the
 first position past the prefix and the patches and L the cycle length;
@@ -21,6 +23,7 @@ shift up to the horizon checks that this changes no field of the report,
 and a walk count checks that the horizon no longer sets the cost.
 """
 
+import gc
 import random
 from math import lcm
 
@@ -163,32 +166,66 @@ def test_walk_matches_the_finite_oracle():
 
 
 def test_sparse_head_matches_the_dense_walk():
+    """Every shift below 3L, so that s and s + L both meet the dense walk,
+    in all four modes, from one memo: its shift table answers shift s + L
+    from the class verdict shift s decided."""
     rng = random.Random(5)
     sparse = 0
+    modes = [(both_ways, reach) for both_ways in (False, True) for reach in (None, 0)]
     for _ in range(DENSE_PAIRS):
         p, q = (finite_seq(rng, last=200, patches=(1, 3), chance=0.8, max_prefix=8) for _ in "pq")
         s = rng.randint(0, 8)
         sparse += plain_run(p, q, s) > cycle_of(p, q)
-        where = f"{format_seq(p)} -> {format_seq(q)} at shift {s}"
-        assert shift_walk(p, q, s) == dense_walk(p, q, s), where
-        assert shift_walk(p, q, s, reach=0) == dense_walk(p, q, s, reach=0), where
-        assert shift_walk(p, q, s, both_ways=True, reach=0) == dense_walk(
-            p, q, s, both_ways=True, reach=0
-        ), where
+        memo = {}
+        for shift in range(3 * cycle_of(p, q)):
+            for both_ways, reach in modes:
+                where = f"{format_seq(p)} -> {format_seq(q)} at shift {shift}, {both_ways}, {reach}"
+                assert shift_walk(p, q, shift, memo=memo, both_ways=both_ways, reach=reach) == dense_walk(
+                    p, q, shift, both_ways=both_ways, reach=reach
+                ), where
     assert sparse >= DENSE_PAIRS // 2, sparse
+
+
+def test_a_tail_class_is_read_once_per_direction(monkeypatch):
+    """Shifts s and s + L share their tail class, so one memo reads its L
+    pairs once.  The class holds one way and fails both ways here: a
+    one-way verdict served to a both-ways query would answer yes."""
+    read = []
+    tail = embedding._ShiftTable.tail
+
+    def counted(self):
+        positions = tail(self)
+        read.append(len(positions))
+        return positions
+
+    monkeypatch.setattr(embedding._ShiftTable, "tail", counted)
+    box, succ, succ2, sup = (parse_term(x) for x in ("box", "succ(box)", "succ(succ(box))", "sup(succ(box)*2)"))
+    # p[0] fails into every q member, so shift s >= 1 holds from 1 on
+    p = Periodic([parse_term("sup(succ(box)*3)")], [succ, box])
+    q = Periodic([box], [succ2, succ, sup])
+    cycle = 6
+    memo = {}
+    for s in (1, 1 + cycle, 1 + 2 * cycle):
+        assert shift_walk(p, q, s, memo=memo, reach=0) == (NO, 1) == dense_walk(p, q, s, reach=0)
+    assert read == [cycle]
+    for s in (1, 1 + cycle):
+        assert shift_walk(p, q, s, memo=memo, both_ways=True, reach=0) == (NO, None)
+        assert dense_walk(p, q, s, both_ways=True, reach=0) == (NO, None)
+    assert read == [cycle, cycle]
 
 
 class PairBudget:
     """Counts the walks and the pairs they read, and fails as soon as the
-    pairs exceed PAIRS_PER_WALK per walk started, so a head that reads every
+    pairs exceed PAIRS_PER_WALK per walk started, so a walk that reads every
     position fails at once instead of running for hours.  A periodic walk
-    reads the positions `_periodic_head` hands it, so their number is
-    counted as it is returned, before any pair is read; a generated walk
+    reads the pairs its shift table lists: the marked pairs of its shift,
+    and the pairs of its tail class when no earlier walk decided the class.
+    They are counted one by one as the walk takes them; a generated walk
     reads each pair through `_stage_embeds`, counted per call."""
 
     def __init__(self, monkeypatch):
         self.walks = self.pairs = 0
-        walk, head, pair = embedding.shift_walk, embedding._periodic_head, embedding._stage_embeds
+        walk, pair, table = embedding.shift_walk, embedding._stage_embeds, embedding._ShiftTable
 
         def counted_walk(*args, **kwargs):
             self.walks += 1
@@ -198,10 +235,13 @@ class PairBudget:
             self.pairs += n
             assert self.pairs <= PAIRS_PER_WALK * self.walks, (self.pairs, self.walks)
 
-        def counted_head(*args):
-            positions = head(*args)
-            spend(len(positions))
-            return positions
+        def counted_list(listed):
+            def counted(*args):
+                for item in listed(*args):
+                    spend(1)
+                    yield item
+
+            return counted
 
         def counted_pair(*args):
             spend(1)
@@ -209,7 +249,8 @@ class PairBudget:
 
         monkeypatch.setattr(embedding, "shift_walk", counted_walk)
         monkeypatch.setattr(ends, "shift_walk", counted_walk)
-        monkeypatch.setattr(embedding, "_periodic_head", counted_head)
+        monkeypatch.setattr(table, "marked", counted_list(table.marked))
+        monkeypatch.setattr(table, "tail", counted_list(table.tail))
         monkeypatch.setattr(embedding, "_stage_embeds", counted_pair)
 
 
@@ -241,6 +282,35 @@ def test_far_patches_cost_bounded_work(monkeypatch):
     t = parse_term("wsum(patch(gen(box;succ(sup(_*2)));3:box))")
     assert shift_report(t, 2).periods == ()
     assert budget.pairs > pairs
+
+
+def test_far_patched_target_costs_bounded_work(monkeypatch):
+    """Embedding a wsum into one patched far out tries shift 0, the shifts
+    between marks and one shift per class past the target's last mark:
+    two walks here, and one tail class read once."""
+    ray = parse_term("wsum([](succ(box)))")
+    for far in (2000, 20000, 99999999):
+        budget = PairBudget(monkeypatch)
+        assert embeds(ray, parse_term(f"wsum(patch([](box);{far}:succ(box)))")) == NO
+        assert budget.walks == 2
+
+
+def test_a_finished_memo_goes_without_the_cycle_collector():
+    """The shift tables live in the memo and do not point back at it, so
+    the memo of a finished query and its tables are freed at once."""
+    def tables():
+        return sum(type(x) is embedding._ShiftTable for x in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = tables()
+        far = parse_term("wsum(patch([](box);5:succ(box)))")
+        assert embeds(far, parse_term("wsum([box](succ(box),box))")) == YES
+        shift_report(far)
+        assert tables() == before
+    finally:
+        gc.enable()
 
 
 FRESH_TEXTS = (
@@ -307,6 +377,33 @@ def test_far_patch_in_the_source_bounds_the_shifts_tried(monkeypatch):
         shifts.clear()
         assert embeds(parse_term(f"wsum(patch([](box);{far}:sup(box,succ(box)*2)))"), comb) == NO
         assert shifts == [0, 1, 2]
+
+
+def test_the_shifts_tried_decide_as_every_shift_does():
+    """Between periodic wsums, `embeds` tries shift 0, the differences m - n
+    between a mark m of q and a mark n of p, and one shift per class of q's
+    cycle from q's settled point on.  Any other shift below that point has
+    a superset of its class representative's pairs, so the verdict is the
+    one that trying every shift up to the settled point plus a cycle
+    gives, also where only a difference holds."""
+    rng = random.Random(23)
+    seen = {YES: 0, NO: 0, "only_a_difference": 0}
+    for i in range(PAIRS):
+        if i % 2:
+            p, q = (finite_seq(rng, last=8, patches=(1, 3), chance=0.7, max_prefix=3) for _ in "pq")
+        else:
+            # a source of boxes patched near the start, so that its patches
+            # fit only into the target's
+            pool = [finite_term(rng, 3) for _ in range(3)]
+            p = Patched(Periodic([], [BOX]), {rng.randint(0, 4): rng.choice(pool) for _ in range(rng.randint(1, 2))})
+            q = Patched(Periodic([], [rng.choice([BOX, *pool])]), {rng.randint(0, 8): rng.choice(pool) for _ in range(rng.randint(1, 3))})
+        settled, cycle = settled_from(q), len(inner(q).cycle)
+        holds = [s for s in range(settled + cycle) if dense_walk(p, q, s)[0] == YES]
+        verdict = YES if holds else NO
+        assert embeds(WSum(p), WSum(q)) == verdict, (format_seq(p), format_seq(q))
+        seen[verdict] += 1
+        seen["only_a_difference"] += bool(holds) and 0 < holds[0] < settled and holds[-1] < settled
+    assert min(seen.values()) >= PAIRS // 20, seen
 
 
 def spine(rng):
