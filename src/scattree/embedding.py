@@ -173,8 +173,6 @@ def _pack(demands, capacities, horizon, memo):
 
 
 def _wsum_embeds(p, q, horizon, memo):
-    if p == q:
-        return YES
     if isinstance(p, Periodic) and isinstance(q, Generated):
         # if q's stages form an increasing chain and every component of p
         # lands somewhere in it, a large enough shift works
@@ -214,11 +212,9 @@ def _wsum_embeds(p, q, horizon, memo):
 # the last patch sits.
 _EARLY_STAGE = 4
 
-# The memo keys of the shift tables (`_ShiftTable`), as (_TABLES, id(p),
-# id(q)), and of the table of pair verdicts they share; the memo's other
-# keys are (term, term) pairs
+# The memo keys of the shift tables (`_ShiftTable`) are (_TABLES, p, q);
+# the memo's other keys are (term, term) pairs
 _TABLES = object()
-_PAIRS = object()
 
 
 def shift_walk(p, q, s, horizon=16, memo=None, both_ways=False, reach=None):
@@ -294,10 +290,10 @@ def shift_walk(p, q, s, horizon=16, memo=None, both_ways=False, reach=None):
 
 def _shift_table(p, q, horizon, memo):
     """The memo's shift table of (p, q), built on first use."""
-    key = (_TABLES, id(p), id(q))
+    key = (_TABLES, p, q)
     table = memo.get(key)
     if table is None:
-        table = memo[key] = _ShiftTable(p, q, horizon, memo.setdefault(_PAIRS, {}))
+        table = memo[key] = _ShiftTable(p, q, horizon)
     return table
 
 
@@ -312,26 +308,24 @@ class _ShiftTable:
     marks and the cycles, and builds no object per pair, which would give
     the cycle collector work in proportion to the pairs read.  One object
     twice holds, a pair whose measure fields settle it costs no call, and
-    any other pair is decided by `embeds` once per memo, its verdict kept
-    in the memo's pair table keyed by the two objects' ids.
-    An id names an object only while it lives, so the memo keeps every
-    table, and with it p, q and their components, alive: no id in the pair
-    table is reused while it lives.  The table does not hold the memo that
-    holds it, so a finished memo is freed at once, not left to the cycle
-    collector: each walk passes the memo in.  Like the memo's (t, s)
-    entries, a verdict holds for the memo's one horizon.  Only yes and no
-    are kept, for pairs and for classes: an unknown may be the cycle guard
-    of a pair still being decided further up, which `embeds` answers
-    afresh once it is decided.
+    any other pair is the memo's own (term, term) entry, decided by
+    `embeds` on first use: equal components share one verdict however many
+    objects carry them.  The memo keys the table by p and q themselves, so
+    equal sequences share one table too.  The table does not hold the memo
+    that holds it, so a finished memo is freed at once, not left to the
+    cycle collector: each walk passes the memo in.  Like the memo's (t, s)
+    entries, a class verdict holds for the memo's one horizon.  Only yes
+    and no are kept for classes: an unknown may rest on the cycle guard of
+    a pair still being decided further up.
     """
 
     __slots__ = (
-        "p", "q", "horizon", "pairs", "classes", "marks_p", "marks_q", "cyc_p", "cyc_q", "kp",
-        "kq", "cycle", "window",
+        "horizon", "classes", "marks_p", "marks_q", "cyc_p", "cyc_q", "kp", "kq", "cycle",
+        "window",
     )
 
-    def __init__(self, p, q, horizon, pairs):
-        self.p, self.q, self.horizon, self.pairs = p, q, horizon, pairs
+    def __init__(self, p, q, horizon):
+        self.horizon = horizon
         self.classes = {}  # (s mod L, both_ways) -> yes or no
         once_p, cyc_p, _ = components(p)
         once_q, cyc_q, _ = components(q)
@@ -412,7 +406,7 @@ class _ShiftTable:
         order: the conjunction of p[n] into q[n + s] (and back, with
         `both_ways`), and the greatest n whose pair is not yes, or -1.
         With `stop` the read ends at the first no."""
-        marks_p, marks_q, verdicts = self.marks_p, self.marks_q, self.pairs
+        marks_p, marks_q, horizon = self.marks_p, self.marks_q, self.horizon
         cyc_p, cyc_q, kp, kq = self.cyc_p, self.cyc_q, self.kp, self.kq
         lp, lq = len(cyc_p), len(cyc_q)
         verdict, last = YES, -1
@@ -422,20 +416,20 @@ class _ShiftTable:
             b = marks_q.get(n + s) or cyc_q[(n + s - kq) % lq]
             if a is b:
                 continue
-            # embeds' own first tests, then the pair table
+            # embeds' own first tests, then its memo entry
             if a.single:
                 pair = YES
             elif b.single or a.size > b.size:
                 pair = NO
             else:
-                pair = verdicts.get((id(a), id(b))) or self.decide(a, b, memo)
+                pair = memo.get((a, b)) or embeds(a, b, horizon, memo)
             if both_ways and pair != NO:
                 if b.single:
                     back = YES
                 elif a.single or b.size > a.size:
                     back = NO
                 else:
-                    back = verdicts.get((id(b), id(a))) or self.decide(b, a, memo)
+                    back = memo.get((b, a)) or embeds(b, a, horizon, memo)
                 if back != YES:
                     pair = back
             if pair != YES:
@@ -446,12 +440,6 @@ class _ShiftTable:
                 if n > last:
                     last = n
         return verdict, last
-
-    def decide(self, a, b, memo):
-        verdict = embeds(a, b, self.horizon, memo)
-        if verdict != UNKNOWN:
-            self.pairs[id(a), id(b)] = verdict
-        return verdict
 
 
 def _inner(seq):
@@ -482,8 +470,6 @@ def _stage_embeds(p, i, q, j, horizon, memo):
         ii = _effective_stage_index(p, i)
         jj = _effective_stage_index(q, j)
         if ii is not None and jj is not None:
-            if ii == jj:
-                return YES
             if ii < jj:
                 if embeds(gp.base, stage(gq, jj - ii), horizon, memo) == YES:
                     return YES
@@ -498,7 +484,7 @@ def _effective_stage_index(seq, n):
     if isinstance(seq, Patched):
         t = seq.patch_at(n)
         if t is None:
-            return _effective_stage_index(seq.inner, n)
+            return n
         found = seq._stage_index
         if n not in found:
             found[n] = next((k for k in range(n + 2) if stage(seq.inner, k) == t), None)

@@ -35,11 +35,10 @@ The walks of one report share one memo, and with it one shift table
 class is decided once per direction, so shifts k and k + L read its pairs
 once, and so do the origin's both-ways walks of one class.  A class that
 fails settles its shift before any pair at a mark is read.  Every
-other pair is decided by `embeds` once per memo, its verdict kept in a
-table keyed by the two component objects' ids; that is sound because the
-memo keeps every walked sequence, and so every component, alive as long as
-the table, and because a memo serves one horizon, as its (term, term)
-entries already assume.
+other pair is decided by `embeds` once per memo and pair of component
+terms: the walk reads the memo's own (term, term) entry, so equal
+components built as distinct objects share one verdict.  A memo serves one
+horizon, as those entries already assume.
 
 Regularity asks whether the components fall into finitely many equimorphy
 classes.  Certificates:

@@ -12,9 +12,10 @@ table decides once per direction.  A dense reference that reads every
 pair in order checks that this changes no answer, at shifts s and s + L
 from one memo, and a count of the pairs the table lists checks that
 patches far out cost no more than near ones.  The walk decides each pair
-of component objects once per memo, keyed by their ids; walks over
-short-lived sequences that share one memo check that it answers as fresh
-memos do.
+of component terms once per memo, in the memo's own (term, term) entries;
+walks over short-lived sequences that share one memo check that it
+answers as fresh memos do, and a spine of equal components built as
+distinct objects checks that it costs the memory of a shared one.
 
 `shift_report` walks a shift k only below max(S, 1) + L, where S is the
 first position past the prefix and the patches and L the cycle length;
@@ -25,6 +26,7 @@ and a walk count checks that the horizon no longer sets the cost.
 
 import gc
 import random
+import tracemalloc
 from math import lcm
 
 from scattree import embedding, ends
@@ -335,10 +337,11 @@ def short_lived(rng):
 
 
 def test_one_memo_serves_many_short_lived_walks():
-    """The pair table keys verdicts by object ids.  Sequences built and
-    dropped in a loop recycle the ids of their components, so one memo
-    shared by all their walks must answer exactly as a fresh memo per walk
-    does: the memo keeps every walked sequence alive."""
+    """One memo shared by the walks of sequences built and dropped in a
+    loop answers exactly as a fresh memo per walk does.  Their components
+    are equal to earlier ones but never the same objects, and the objects
+    die each round, so their ids recur: a verdict keyed by object could
+    be read for the wrong pair."""
     rng = random.Random(29)
     memo = {}
     for _ in range(1500):
@@ -354,6 +357,36 @@ def test_one_memo_serves_many_short_lived_walks():
         recurred += id(stage(p, 0)) in seen
         seen.add(id(stage(p, 0)))
     assert recurred > 0
+
+
+def test_equal_components_built_apart_cost_what_shared_ones_do():
+    """A spine shaped like the wide CI term, with n = 300: the parser
+    builds one object per occurrence, so its 1500 components are distinct
+    objects of four distinct terms.  Its report must equal that of the same
+    spine built from four shared objects, and take at most twice the
+    memory: each pair of component terms is decided and kept once, not
+    once per pair of objects."""
+    n = 300
+    prefix = ",".join(["sup(box*2,succ(box))"] * n)
+    cycle = ",".join(["succ(box),box"] * n)
+    patches = ",".join(f"{3 * i}:sup(box*w)" for i in range(n))
+    apart = parse_term(f"wsum(patch([{prefix}]({cycle});{patches}))")
+    head, leg, mark = (parse_term(x) for x in ("sup(box*2,succ(box))", "succ(box)", "sup(box*w)"))
+    shared = WSum(Patched(Periodic([head] * n, [leg, BOX] * n), {3 * i: mark for i in range(n)}))
+    assert apart == shared and apart is not shared
+
+    def peak(t):
+        tracemalloc.start()
+        try:
+            report = shift_report(t, 20)
+            return report, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    report_shared, peak_shared = peak(shared)
+    report_apart, peak_apart = peak(apart)
+    assert report_apart == report_shared
+    assert peak_apart <= 2 * peak_shared + 64 * 1024, (peak_apart, peak_shared)
 
 
 def test_far_patch_in_the_source_bounds_the_shifts_tried(monkeypatch):
