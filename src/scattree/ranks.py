@@ -11,8 +11,8 @@ own end on top of the component union.  Ranks combine accordingly:
   space then has rank max(sigma + 1, finitely-occurring component ranks).
 
 For generated component sequences the component ranks obey an affine
-recurrence r(n+1) = max(r(n), c) + delta, where delta is 1 exactly when the
-hole sits under a cycle position of a spined sum inside the context.  The
+recurrence r(n+1) = max(r(n), c) + delta, where delta is the number of
+cycle positions of spined sums on the context's path to its hole.  The
 ranks of stages 0..3 are computed directly, checked against the recurrence,
 and extrapolated; sequences that do not fit raise RankUndecided.
 """
@@ -96,17 +96,15 @@ def _scale_top(top, mult):
 
 
 def _union(parts):
-    """Rank summary of a finite disjoint union of (summary, multiplicity)."""
-    parts = [(s, m) for s, m in parts]
-    if not parts:
-        return _NO_ENDS
-    rank = max(s.space_rank for s, _ in parts)
-    top = 0
+    """Rank summary of a finite disjoint union of (summary, multiplicity)
+    pairs with ends."""
+    rank, top = ZERO, 0
     for s, m in parts:
-        if s.space_rank == rank:
+        if s.space_rank > rank:
+            rank, top = s.space_rank, _scale_top(s.top_ends, m)
+        elif s.space_rank == rank:
             top = _add_tops(top, _scale_top(s.top_ends, m))
-    limit = bool(rank > ZERO and top == 0)
-    return RankSummary(rank, top, limit)
+    return RankSummary(rank, top, top == 0)
 
 
 _NO_ENDS = RankSummary(ZERO, 0, False)  # the summary of every rayless term
@@ -127,21 +125,17 @@ def _rank_inputs(x):
     left out: subterms, and for a generated tail (a node of its own) its
     stages 0..3.  The tail is the only node that is not a term."""
     if not isinstance(x, Term):
-        return _with_ends(stage(x, n) for n in range(4))
+        return [t for t in (stage(x, n) for n in range(4)) if not t.rayless]
     if isinstance(x, Succ):
         return [x.child]  # x has ends, so its child has
     if isinstance(x, Sup):
-        return _with_ends(a for a, _ in x.arms)
+        return [a for a, _ in x.arms if not a.rayless]
     once, recurring, gen = components(x.seq)
-    return _with_ends(recurring) + ([] if gen is None else [gen]) + _with_ends(c for _, c in once)
-
-
-def _with_ends(terms):
-    return [t for t in terms if not t.rayless]
-
-
-def _summary(t, memo):
-    return _NO_ENDS if t.rayless else memo[t]
+    kids = [c for c in recurring if not c.rayless]
+    if gen is not None:
+        kids.append(gen)
+    kids += [c for _, c in once if not c.rayless]
+    return kids
 
 
 def _rank_of(x, _, memo):
@@ -150,44 +144,54 @@ def _rank_of(x, _, memo):
     if isinstance(x, Succ):
         return memo[x.child]
     if isinstance(x, Sup):
-        return _union((_summary(a, memo), m) for a, m in x.arms)
-    parts = _parts(x.seq, memo)
-    if isinstance(x, SupSeq):
-        return _union(parts)
-    # sigma: the sup of the ranks realized by infinitely many components
-    sigma = max((s.space_rank for s, m in parts if m == OMEGA_MULT), default=ZERO)
-    spine = ord_succ(sigma)  # the rank of the spine's own end
-    rank = max([spine] + [s.space_rank for s, m in parts if m == 1])
-    top = 1 if rank == spine else 0
-    for s, m in parts:
-        if m == 1 and s.space_rank == rank:
-            top = _add_tops(top, s.top_ends)
-    return RankSummary(rank, top, top == 0)
-
-
-def _parts(seq, memo):
-    """The component summaries of a sequence with their multiplicities: 1
-    for a component that occurs once, omega for a cycle term and for the
-    eventual stages of a generated tail.  Stage 0 needs no part of its
-    own: it is a subtree of stage 1, so its ends sit at levels stage 1
-    also reaches.  When the stage ranks grow, the tail's part is their
-    sup, a limit realized by no single end."""
-    once, recurring, gen = components(seq)
-    parts = [(_summary(x, memo), OMEGA_MULT) for x in recurring]
+        return _union((memo[a], m) for a, m in x.arms if not a.rayless)
+    once, recurring, gen = components(x.seq)
+    # sigma: the sup of the ranks realized by infinitely many components,
+    # the cycle terms and the eventual stages of a generated tail; each of
+    # them repeats omega times, so a top end among them is one of many.
+    # Stage 0 needs no part of its own: it is a subtree of stage 1, so its
+    # ends sit at levels stage 1 also reaches.
+    sigma, many = ZERO, False
     if gen is not None:
-        kind, data = memo[gen]
-        if kind == "growing":
-            data = RankSummary(data, 0, True)
-        parts.append((data, OMEGA_MULT))
-    return parts + [(_summary(x, memo), 1) for _, x in once]
+        s = memo[gen]
+        sigma, many = s.space_rank, s.top_ends != 0
+    for c in recurring:
+        if not c.rayless:
+            s = memo[c]
+            if s.space_rank > sigma:
+                sigma, many = s.space_rank, s.top_ends != 0
+            elif s.top_ends and s.space_rank == sigma:
+                many = True
+    if isinstance(x, SupSeq):
+        rank, top = sigma, MANY if many else 0
+    else:
+        rank, top = ord_succ(sigma), 1  # the spine's own end sits one above sigma
+    for _, c in once:
+        if not c.rayless:
+            s = memo[c]
+            if s.space_rank > rank:
+                rank, top = s.space_rank, s.top_ends
+            elif s.space_rank == rank:
+                top = _add_tops(top, s.top_ends)
+    return RankSummary(rank, top, top == 0)
 
 
 def _fit_recurrence(seq: Generated, memo):
     """Check stage ranks 0..3 against r(n+1) = max(r(n), c) + delta and
-    extrapolate.  Returns ('stable', summary-of-eventual-stage) or
-    ('growing', limit-ordinal-sup)."""
-    delta = 1 if seq.context.hole_under_wsum_cycle() else 0
-    summaries = [_summary(stage(seq, n), memo) for n in range(4)]
+    extrapolate: the summary of the eventual stages when delta is 0, else
+    the summary of the limit the stage ranks grow to.
+
+    delta counts the wsum cycle positions on the context's hole path.  Each
+    step on that path maps the rank x of what lies below it to max(x, a)
+    (a sup arm, a prefix position or a succ) or to max(x, a) + 1 (a cycle
+    position: the spine end sits one above the recurring ranks), with a
+    fixed by the context.  Successor distributes over max, so
+    rank(C[t]) = max(rank(t) + delta, K) for a K fixed by the context, and
+    once one stage adds delta, every later stage does.  With c = K - delta
+    this is the recurrence above; it is refused when K = r(1) lies above
+    r(0) + delta and r(1) - delta is undefined."""
+    delta = seq.context.hole_wsum_cycles()
+    summaries = [_NO_ENDS if t.rayless else memo[t] for t in (stage(seq, n) for n in range(4))]
     r = [s.space_rank for s in summaries]
     if delta == 0:
         if not (r[1] == r[2] == r[3] and r[1] >= r[0]):
@@ -196,26 +200,35 @@ def _fit_recurrence(seq: Generated, memo):
                 + ", ".join(format_ordinal(x) for x in r)
                 + " do not stabilize"
             )
-        return "stable", summaries[1]
-    # delta == 1: once the hole branch dominates, ranks step by one
-    if r[1] > ord_succ(r[0]) and not r[1].is_successor():
-        raise RankUndecided(
-            "undecided sequence: stage rank jumps to the limit "
-            + format_ordinal(r[1])
-        )
-    c = r[1].pred() if r[1] > ord_succ(r[0]) else ZERO
+        return summaries[1]
+    c = ZERO
+    if r[1] > _plus(r[0], delta):
+        c = r[1]  # K = r(1): c is r(1) - delta
+        for _ in range(delta):
+            if not c.is_successor():
+                raise RankUndecided(
+                    "undecided sequence: stage rank jumps to the limit "
+                    + format_ordinal(r[1])
+                )
+            c = c.pred()
     fits = (
-        r[1] == ord_succ(_ord_max(r[0], c))
-        and r[2] == ord_succ(r[1])
-        and r[3] == ord_succ(r[2])
+        r[1] == _plus(_ord_max(r[0], c), delta)
+        and r[2] == _plus(r[1], delta)
+        and r[3] == _plus(r[2], delta)
     )
     if not fits:
         raise RankUndecided(
             "undecided sequence: stage ranks "
             + ", ".join(format_ordinal(x) for x in r)
-            + " do not fit a unit-step recurrence"
+            + f" do not fit a recurrence that steps by {delta}"
         )
-    return "growing", _limit_of(r[3])
+    return RankSummary(_limit_of(r[3]), 0, True)  # a limit realized by no single end
+
+
+def _plus(alpha, n):
+    for _ in range(n):
+        alpha = ord_succ(alpha)
+    return alpha
 
 
 def _ord_max(a, b):

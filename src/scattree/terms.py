@@ -414,8 +414,9 @@ class Context:
             for node, i in self.path
         )
 
-    def hole_under_wsum_cycle(self):
-        return any(isinstance(node, WSum) and i >= len(node.seq.prefix) for node, i in self.path)
+    def hole_wsum_cycles(self):
+        """How many steps of the hole path enter a cycle position of a wsum."""
+        return sum(isinstance(node, WSum) and i >= len(node.seq.prefix) for node, i in self.path)
 
     def hole_under_sup_branch(self):
         """Is there a sup node on the hole path whose other content guarantees

@@ -103,7 +103,17 @@ def test_succ_increases_and_pred_inverts(a):
     assert s.is_successor()
 
 
-@given(_ordinals(), _ordinals())
-def test_comparison_total(a, b):
+@given(_ordinals(), _ordinals(), _ordinals())
+def test_comparison_total(a, b, c):
     assert (a < b) + (b < a) + (a == b) == 1
     assert max([a, b], default=ZERO) == (a if a > b else b)
+    assert (a > b) == (b < a)
+    assert (a <= b) == (a < b or a == b)
+    assert (a >= b) == (b < a or a == b)
+    x, y, z = sorted([a, b, c])
+    assert x <= y <= z and not y < x and not z < y
+    copy = parse_ordinal(format_ordinal(a))  # equal, built from fresh objects
+    assert copy == a and hash(copy) == hash(a)
+    assert a != b or hash(a) == hash(b)
+    with pytest.raises(TypeError):
+        a < 1

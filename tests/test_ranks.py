@@ -1,9 +1,10 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scattree.ordinals import OMEGA, ZERO, parse_ordinal, format_ordinal, succ as ord_succ
+from scattree.ordinals import OMEGA, ZERO, Ordinal, parse_ordinal, format_ordinal, succ as ord_succ
 from scattree.ranks import (
     MANY,
     RankUndecided,
@@ -18,15 +19,19 @@ from scattree.terms import (
     Periodic,
     Succ,
     Sup,
+    SupSeq,
     TermError,
     UNKNOWN,
     WSum,
     YES,
     builtins,
+    components,
     parse_term,
     stage,
     vertex_count,
 )
+
+from test_parse import seq  # the parser tests' grammar
 
 
 # -- fixture ranks -----------------------------------------------------------
@@ -162,11 +167,57 @@ def test_stable_generator_is_decided():
     assert format_ordinal(rs.space_rank) == "1"
 
 
-def test_double_step_growth_is_undecided():
-    t = parse_term("wsum(gen(box;wsum([](wsum([](_))))))")
-    with pytest.raises(RankUndecided) as e:
-        rank_summary(t)
-    assert "unit-step" in str(e.value)
+def test_double_step_growth_is_decided():
+    # the hole sits under two nested cycles, then three: ranks step by 2, by 3
+    for cycles in (2, 3):
+        t = parse_term("wsum(gen(box;" + "wsum([](" * cycles + "_" + "))" * cycles + "))")
+        assert t.seq.context.hole_wsum_cycles() == cycles
+        r = [rank_summary(stage(t.seq, n)).space_rank for n in range(4)]
+        assert r == [Ordinal.from_int(cycles * n) for n in range(4)]
+        rs = rank_summary(t)
+        assert format_ordinal(rs.space_rank) == "w+1"
+        assert rs.top_ends == 1 and not rs.limit_flag
+
+
+def _tails(t):
+    """Every generated tail in t, those inside a tail's base included."""
+    stack, seen = [t], []
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Succ):
+            stack.append(x.child)
+        elif isinstance(x, Sup):
+            stack.extend(a for a, _ in x.arms)
+        elif isinstance(x, (WSum, SupSeq)):
+            once, recurring, gen = components(x.seq)
+            stack.extend(recurring)
+            stack.extend(c for _, c in once)
+            if gen is not None:
+                seen.append(gen)
+                stack.append(gen.base)
+    return seen
+
+
+def test_generated_tails_step_by_their_hole_cycles():
+    """Oracle for r(n+1) = max(r(n), c) + delta: on 3000 seeded wsum terms,
+    every tail with delta >= 1 has stage ranks 4..7, each computed from the
+    stage's own term, equal to r(3) + delta * (n - 3).  No term is left
+    undecided."""
+    rng = random.Random(21)
+    stepped = 0
+    for _ in range(3000):
+        t = parse_term("wsum(" + "".join(seq(rng, rng.randint(1, 5))) + ")")
+        rank_summary(t)  # raises RankUndecided on a tail the rule does not fit
+        for gen in _tails(t):
+            delta = gen.context.hole_wsum_cycles()
+            if delta:
+                stepped += 1
+                r = rank_summary(stage(gen, 3)).space_rank
+                for n in range(4, 8):
+                    for _ in range(delta):
+                        r = ord_succ(r)
+                    assert rank_summary(stage(gen, n)).space_rank == r, (gen, n)
+    assert stepped > 100
 
 
 # -- limit membership ------------------------------------------------------------
