@@ -6,6 +6,11 @@ by packing root children (`_pack`) and, between two spined sums, by
 walking shifts of one spine along the other (`shift_walk`).  Every walk
 and every pack runs on the terms' structure (`terms`), never on an
 expanded tree.
+
+`embeds` is the one decider of a (term, term) pair: the packing and the
+walks call it for every pair of children or components they read, and
+only it reads the memo's (term, term) entries.  Its recursion costs two
+Python frames per finite term level and four per spined-sum level.
 """
 
 from __future__ import annotations
@@ -35,59 +40,61 @@ def embeds(t: Term, s: Term, horizon: int = 16, _memo=None) -> str:
     """Tri-valued induced-embedding check, root to root.  yes and no answers
     are sound; unknown marks the analysis horizon.
 
+    The one decider of a (term, term) pair: `_pack` and the shift tables
+    call it for every pair they read.  The measure fields settle a pair
+    before any memo key is built; the memo decides every other pair once,
+    its entry unknown while the pair is being decided (the cycle guard).
+    A finite term level costs two Python frames (`embeds`, `_pack`), a
+    spined-sum level four (`embeds`, `_wsum_embeds`, a shift table's `walk`
+    and `read`).
+
     Between two wsum terms the check is the shift relation instead
     (`shift_walk`): spine to spine, component n into component n + s, and
     any forward shift s >= 0 is accepted, although s > 0 moves the root.
     Making this pair strictly root to root is still open (ROADMAP item 1).
     """
-    # the first tests of _embeds, which the measure fields settle before
-    # any memo key is built
     if t is s or t.single:
         return YES
-    if s.single or t.size > s.size:
+    if t.size > s.size:  # a one-vertex s included: t has two vertices or more
         return NO
     if _memo is None:
         _memo = {}
     key = (t, s)
-    out = _memo.get(key)
-    if out is None:
-        _memo[key] = UNKNOWN  # cycle guard; real value set below
-        out = _memo[key] = _embeds(t, s, horizon, _memo)
+    size = len(_memo)
+    out = _memo.setdefault(key, UNKNOWN)  # the cycle guard, until decided
+    if len(_memo) == size:
+        return out
+    if t == s:
+        out = YES
+    elif isinstance(t, WSum) and isinstance(s, WSum):
+        out = _wsum_embeds(t.seq, s.seq, horizon, _memo)
+    else:
+        # generic packing of root children; exact on finite terms, where a
+        # root-to-root embedding is an injective matching of children into
+        # children they embed in, decided once per pair of subterms by the memo
+        dem = None if isinstance(t, SupSeq) else root_children(t)
+        caps = None if dem is None else _capacities(s, horizon)
+        if caps is not None:
+            out = _pack(dem, caps, horizon, _memo)
+            if out != YES and isinstance(s, SupSeq):
+                out = UNKNOWN
+    _memo[key] = out
     return out
 
 
-def _embeds(t, s, horizon, memo):
-    if t == s:
-        return YES
-    if t.single:
-        return YES
-    if s.single:
-        return NO
-    if t.size > s.size:
-        return NO
-    if isinstance(t, WSum) and isinstance(s, WSum):
-        return _wsum_embeds(t.seq, s.seq, horizon, memo)
-    if isinstance(t, SupSeq):
-        return UNKNOWN
-    # generic packing of root children; exact on finite terms, where a
-    # root-to-root embedding is an injective matching of children into
-    # children they embed in, decided once per pair of subterms by the memo
-    dem = root_children(t)
-    if dem is None:
-        return UNKNOWN
-    if isinstance(s, SupSeq):
-        caps = []
-        for j in range(horizon):
-            sub = root_children(stage(s.seq, j))
-            if sub is None:
-                return UNKNOWN
-            caps.extend(sub)
-        verdict = _pack(dem, caps, horizon, memo)
-        return YES if verdict == YES else UNKNOWN
-    caps = root_children(s)
-    if caps is None:
-        return UNKNOWN
-    return _pack(dem, caps, horizon, memo)
+def _capacities(s, horizon):
+    """The root children of s, or None when they are not listed; of a
+    supseq, those of its first `horizon` members, where only a yes is
+    sound."""
+    if not isinstance(s, SupSeq):
+        return root_children(s)
+    caps = []
+    for j in range(horizon):
+        sub = root_children(stage(s.seq, j))
+        if sub is None:
+            return None
+        caps.extend(sub)
+    return caps
 
 
 def _pack(demands, capacities, horizon, memo):
@@ -98,13 +105,7 @@ def _pack(demands, capacities, horizon, memo):
     edges = {}
     for i, (a, _) in enumerate(demands):
         for j, (b, _) in enumerate(capacities):
-            # embeds' own first tests, without the call
-            if a is b or a.single:
-                edges[i, j] = YES
-            elif b.single or a.size > b.size:
-                edges[i, j] = NO
-            else:
-                edges[i, j] = embeds(a, b, horizon, memo)
+            edges[i, j] = embeds(a, b, horizon, memo)
 
     def feasible(ok):
         # omega demands each need an omega capacity; they share freely
@@ -191,19 +192,20 @@ def _wsum_embeds(p, q, horizon, memo):
         if v0 != INF and v1 != INF and v1 > v0 and INF not in caps:
             return NO
         return UNKNOWN
-    periodic = isinstance(_inner(p), Periodic) and isinstance(_inner(q), Periodic)
-    if periodic:
-        shifts = _shift_table(p, q, horizon, memo).shifts_to_try()
-    else:
-        shifts = range(horizon + 1)
-    saw_unknown = False
-    for s in shifts:
-        verdict = shift_walk(p, q, s, horizon, memo)[0]
-        if verdict == YES:
+    if isinstance(_inner(p), Periodic) and isinstance(_inner(q), Periodic):
+        # the shifts the table lists decide every shift
+        table = _shift_table(p, q, horizon, memo)
+        verdict = NO
+        for s in table.shifts_to_try():
+            walked = table.walk(s, False, None, memo)[0]
+            if walked == YES:
+                return YES
+            if walked == UNKNOWN:
+                verdict = UNKNOWN
+        return verdict
+    for s in range(horizon + 1):
+        if shift_walk(p, q, s, horizon, memo)[0] == YES:
             return YES
-        saw_unknown = saw_unknown or verdict == UNKNOWN
-    if periodic and not saw_unknown:
-        return NO
     return UNKNOWN  # shifts beyond the horizon stay open
 
 
@@ -306,14 +308,13 @@ class _ShiftTable:
     `marked` lists the positions of a shift's marked pairs and `tail` those
     of its class; `read` takes each pair's two components straight off the
     marks and the cycles, and builds no object per pair, which would give
-    the cycle collector work in proportion to the pairs read.  One object
-    twice holds, a pair whose measure fields settle it costs no call, and
-    any other pair is the memo's own (term, term) entry, decided by
-    `embeds` on first use: equal components share one verdict however many
-    objects carry them.  The memo keys the table by p and q themselves, so
-    equal sequences share one table too.  The table does not hold the memo
-    that holds it, so a finished memo is freed at once, not left to the
-    cycle collector: each walk passes the memo in.  Like the memo's (t, s)
+    the cycle collector work in proportion to the pairs read.  Every pair
+    goes to `embeds`, which keeps its verdict in the memo's (term, term)
+    entry: equal components share one verdict however many objects carry
+    them.  The memo keys the table by p and q themselves, so equal
+    sequences share one table too.  The table does not hold the memo that
+    holds it, so a finished memo is freed at once, not left to the cycle
+    collector: each walk passes the memo in.  Like the memo's (t, s)
     entries, a class verdict holds for the memo's one horizon.  Only yes
     and no are kept for classes: an unknown may rest on the cycle guard of
     a pair still being decided further up.
@@ -414,22 +415,9 @@ class _ShiftTable:
             # a = stage(p, n) and b = stage(q, n + s), without the calls
             a = marks_p.get(n) or cyc_p[(n - kp) % lp]
             b = marks_q.get(n + s) or cyc_q[(n + s - kq) % lq]
-            if a is b:
-                continue
-            # embeds' own first tests, then its memo entry
-            if a.single:
-                pair = YES
-            elif b.single or a.size > b.size:
-                pair = NO
-            else:
-                pair = memo.get((a, b)) or embeds(a, b, horizon, memo)
+            pair = embeds(a, b, horizon, memo)
             if both_ways and pair != NO:
-                if b.single:
-                    back = YES
-                elif a.single or b.size > a.size:
-                    back = NO
-                else:
-                    back = memo.get((b, a)) or embeds(b, a, horizon, memo)
+                back = embeds(b, a, horizon, memo)
                 if back != YES:
                     pair = back
             if pair != YES:

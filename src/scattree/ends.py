@@ -34,11 +34,11 @@ The walks of one report share one memo, and with it one shift table
 (`embedding._ShiftTable`) that keeps what the walks decide.  Each tail
 class is decided once per direction, so shifts k and k + L read its pairs
 once, and so do the origin's both-ways walks of one class.  A class that
-fails settles its shift before any pair at a mark is read.  Every
-other pair is decided by `embeds` once per memo and pair of component
-terms: the walk reads the memo's own (term, term) entry, so equal
-components built as distinct objects share one verdict.  A memo serves one
-horizon, as those entries already assume.
+fails settles its shift before any pair at a mark is read.  Every pair
+the walk reads goes to `embeds`, which decides it once per memo and pair
+of component terms, so equal components built as distinct objects share
+one verdict.  A memo serves one horizon, as those entries already assume:
+the walks pass no horizon, so every pair is decided at `embeds`' default.
 
 Regularity asks whether the components fall into finitely many equimorphy
 classes.  Certificates:
@@ -175,6 +175,8 @@ def _almost_rigid(seq, periods_yes, periods_unknown, horizon):
 
 def shift_report(t: Term, horizon: int = 8) -> ShiftReport:
     """Shift analysis of a spined sum over the shifts 1..horizon.  The
+    horizon bounds the shifts only: each pair of components is decided by
+    `embeds` at its default horizon 16, whatever the report's own.  The
     report is cached on the term object per horizon (`analysis_cache`) and
     shared by every caller, so it must not be mutated: its containers are
     read-only."""

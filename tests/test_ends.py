@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scattree.embedding import embeds
 from scattree.ends import (
     OriginUndefined,
     origin_vertex,
@@ -19,6 +20,7 @@ from scattree.terms import (
     builtins,
     parse_term,
     spine_address,
+    stage,
 )
 
 
@@ -85,6 +87,17 @@ def test_deep_patch_gets_linear_offsets():
     r = shift_report(parse_term("wsum(patch(gen(box;succ(sup(_*2)));3000:box))"))
     assert r.periods == ()
     assert r.eventual == {k: 3001 - k for k in range(1, 9)}
+
+
+def test_component_pairs_are_decided_at_the_embeds_default_horizon():
+    # the report's horizon bounds the shifts only: succ^3(box) embeds in the
+    # supseq of all finite paths from embeds horizon 4 on, and the report
+    # decides that pair at embeds' default 16 even at horizon 1
+    t = parse_term("wsum([succ(succ(succ(box)))](supseq(gen(box;succ(_)))))")
+    a, b = stage(t.seq, 0), stage(t.seq, 1)
+    assert [embeds(a, b, h) for h in range(1, 5)] == [UNKNOWN, UNKNOWN, UNKNOWN, YES]
+    assert embeds(a, b) == YES
+    assert shift_report(t, 1).periods == (1,)
 
 
 def test_shift_report_needs_a_spined_sum():

@@ -220,18 +220,27 @@ class PairBudget:
     """Counts the walks and the pairs they read, and fails as soon as the
     pairs exceed PAIRS_PER_WALK per walk started, so a walk that reads every
     position fails at once instead of running for hours.  A periodic walk
-    reads the pairs its shift table lists: the marked pairs of its shift,
-    and the pairs of its tail class when no earlier walk decided the class.
-    They are counted one by one as the walk takes them; a generated walk
-    reads each pair through `_stage_embeds`, counted per call."""
+    is counted where it runs, at its shift table's `walk`, whether
+    `shift_walk` or `embeds` started it, and reads the pairs its table
+    lists: the marked pairs of its shift, and the pairs of its tail class
+    when no earlier walk decided the class.  They are counted one by one as
+    the walk takes them.  Any other walk is counted at `shift_walk`; a
+    generated walk reads each pair through `_stage_embeds`, counted per
+    call."""
 
     def __init__(self, monkeypatch):
         self.walks = self.pairs = 0
         walk, pair, table = embedding.shift_walk, embedding._stage_embeds, embedding._ShiftTable
+        table_walk = table.walk
 
-        def counted_walk(*args, **kwargs):
+        def counted_walk(p, q, *args, **kwargs):
+            if not (isinstance(inner(p), Periodic) and isinstance(inner(q), Periodic)):
+                self.walks += 1
+            return walk(p, q, *args, **kwargs)
+
+        def counted_table_walk(*args):
             self.walks += 1
-            return walk(*args, **kwargs)
+            return table_walk(*args)
 
         def spend(n):
             self.pairs += n
@@ -251,6 +260,7 @@ class PairBudget:
 
         monkeypatch.setattr(embedding, "shift_walk", counted_walk)
         monkeypatch.setattr(ends, "shift_walk", counted_walk)
+        monkeypatch.setattr(table, "walk", counted_table_walk)
         monkeypatch.setattr(table, "marked", counted_list(table.marked))
         monkeypatch.setattr(table, "tail", counted_list(table.tail))
         monkeypatch.setattr(embedding, "_stage_embeds", counted_pair)
@@ -394,13 +404,13 @@ def test_far_patch_in_the_source_bounds_the_shifts_tried(monkeypatch):
     q's cycle, so embedding a wsum into a periodic one tries one cycle of
     shifts past there, however late the source's patches sit."""
     shifts = []
-    walk = embedding.shift_walk
+    walk = embedding._ShiftTable.walk
 
-    def counted_walk(p, q, s, *args, **kwargs):
+    def counted_walk(table, s, *args):
         shifts.append(s)
-        return walk(p, q, s, *args, **kwargs)
+        return walk(table, s, *args)
 
-    monkeypatch.setattr(embedding, "shift_walk", counted_walk)
+    monkeypatch.setattr(embedding._ShiftTable, "walk", counted_walk)
     ray = parse_term("wsum([](box))")
     comb = parse_term("wsum([box](succ(box),box))")
     for far in (100000, 99999999):

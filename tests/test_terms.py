@@ -1,10 +1,11 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from scattree.cuts import expand_finite, truncate, truncation_dot
-from scattree.embedding import _embeds, embeds, equimorphic
+from scattree.embedding import embeds, equimorphic
 from scattree.finite_trees import canonical_code, rooted_embeds
 from scattree.terms import (
     BOX,
@@ -496,10 +497,14 @@ def test_embeds_agrees_with_the_finite_oracle():
     assert verdicts == {YES, NO}
 
 
-def test_embeds_shortcuts_answer_as_the_full_decision():
+def test_embeds_measure_field_verdicts_survive_exact_cuts():
     """embeds settles a pair from the measure fields (one object, a single
-    vertex on either side, a larger source) before it builds a memo key;
-    every answer must be the one `_embeds` gives from a fresh memo."""
+    vertex on either side, a larger source) before it builds a memo key.
+    Each such verdict is checked against the cuts of depth 0 to 6, as the
+    benchmark's cut oracle does, on every pair free of omega multiplicities
+    and supseq families, whose cuts keep only `width` members, so that every
+    cut is exact: a no must fail at some depth, and a yes must survive
+    every depth."""
     rng = random.Random(9)
     pool = []
     while len(pool) < 400:
@@ -508,14 +513,31 @@ def test_embeds_shortcuts_answer_as_the_full_decision():
             pool.append(parse_term(text))
     pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(3000)]
     pairs += [(t, t) for t in pool[:100]]
-    shortcuts = set()
+    cuts = {}
+
+    def cut(t, d):
+        if (t, d) not in cuts:
+            cuts[t, d] = truncate(t, d, 1).rooted
+        return cuts[t, d]
+
+    def exact(t):
+        text = format_term(t)
+        return "*w" not in text and "supseq" not in text
+
+    checked = {YES: 0, NO: 0}
     for t, s in pairs:
-        assert embeds(t, s) == _embeds(t, s, 16, {}), (format_term(t), format_term(s))
-        if t is s or t.single:
-            shortcuts.add("yes")
-        elif s.single or t.size > s.size:
-            shortcuts.add("no")
-    assert shortcuts == {"yes", "no"}
+        memo = {}
+        verdict = embeds(t, s, 16, memo)
+        where = (format_term(t), format_term(s))
+        # the verdicts given before any memo entry are exactly these
+        settled = YES if t is s or t.single else NO if s.single or t.size > s.size else None
+        assert (None if memo else verdict) == settled, where
+        if memo or not (exact(t) and exact(s)):
+            continue
+        embeds_at = [rooted_embeds(cut(t, d), cut(s, d)) for d in range(7)]
+        assert all(embeds_at) if verdict == YES else not all(embeds_at), where
+        checked[verdict] += 1
+    assert min(checked.values()) >= 300, checked
 
 
 def test_embeds_box_everywhere():
@@ -557,6 +579,14 @@ def test_embeds_generated_monotone():
     assert embeds(stage(ex1.seq, 0), stage(ex1.seq, 1)) == YES
     assert embeds(stage(ex1.seq, 2), stage(ex1.seq, 5)) == YES
     assert embeds(stage(ex1.seq, 3), stage(ex1.seq, 2)) == NO
+
+
+def test_deep_stages_embed_within_the_recursion_limit():
+    # stage 400 has height 400; embeds recurses two frames per tree level
+    # (embeds, _pack), so the pair answers under Python's default limit
+    assert sys.getrecursionlimit() <= 1000
+    ex1 = builtins()["ex1"]
+    assert embeds(stage(ex1.seq, 400), stage(ex1.seq, 401)) == YES
 
 
 def test_embeds_self():
