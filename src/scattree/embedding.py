@@ -1,9 +1,11 @@
-"""Root-to-root embedding of terms, and the shift relation between
-component sequences that serves both it and the shift analysis.
+"""Two embedding relations on terms, and the shift relation between
+component sequences that serves both and the shift analysis.
 
 `embeds` decides whether one tree embeds in another with roots matched,
-by packing root children (`_pack`) and, between two spined sums, by
-walking shifts of one spine along the other (`shift_walk`).  Every walk
+by packing root children (`_pack`).  `shift_embeds` decides whether one
+spined sum embeds in another spine into spine at some shift, by walking
+the shifts of one spine along the other (`shift_walk`); a yes gives an
+embedding without roots, the relation twins are counted by.  Every walk
 and every pack runs on the terms' structure (`terms`), never on an
 expanded tree.
 
@@ -45,13 +47,14 @@ def embeds(t: Term, s: Term, horizon: int = 16, _memo=None) -> str:
     before any memo key is built; the memo decides every other pair once,
     its entry unknown while the pair is being decided (the cycle guard).
     A finite term level costs two Python frames (`embeds`, `_pack`), a
-    spined-sum level four (`embeds`, `_wsum_embeds`, a shift table's `walk`
-    and `read`).
+    spined-sum level four (`embeds`, `shift_embeds`, a shift table's
+    `walk` and `read`).
 
-    Between two wsum terms the check is the shift relation instead
-    (`shift_walk`): spine to spine, component n into component n + s, and
-    any forward shift s >= 0 is accepted, although s > 0 moves the root.
-    Making this pair strictly root to root is still open (ROADMAP item 1).
+    Its callers need the rooted relation: `_pack`'s child pairs, the
+    shift tables' component pairs, `_stage_embeds`, and
+    `ends._regular_tail` through `equimorphic`.  Between two wsum terms
+    it still answers `shift_embeds`, whose shift s > 0 moves the root:
+    that one pair is not yet strictly root to root.
     """
     if t is s or t.single:
         return YES
@@ -67,7 +70,7 @@ def embeds(t: Term, s: Term, horizon: int = 16, _memo=None) -> str:
     if t == s:
         out = YES
     elif isinstance(t, WSum) and isinstance(s, WSum):
-        out = _wsum_embeds(t.seq, s.seq, horizon, _memo)
+        out = shift_embeds(t, s, horizon, _memo)
     else:
         # generic packing of root children; exact on finite terms, where a
         # root-to-root embedding is an injective matching of children into
@@ -173,7 +176,15 @@ def _pack(demands, capacities, horizon, memo):
     return UNKNOWN
 
 
-def _wsum_embeds(p, q, horizon, memo):
+def shift_embeds(t: Term, s: Term, horizon: int = 16, memo=None) -> str:
+    """The shift relation between spined sums t and s: is there a shift
+    k >= 0 with component n of t embedding in component n + k of s for
+    every n, each pair decided root to root by `embeds`?  A yes gives an
+    embedding without roots, spine vertex n mapped to n + k; a no refutes
+    only such spine-aligned embeddings.  `twins.verify_twins` uses it."""
+    if memo is None:
+        memo = {}
+    p, q = t.seq, s.seq
     if isinstance(p, Periodic) and isinstance(q, Generated):
         # if q's stages form an increasing chain and every component of p
         # lands somewhere in it, a large enough shift works

@@ -13,6 +13,9 @@ Two generators work on spined sums with a strict shift period:
   distinct trees, and almost disjoint families of position sets witness
   large twin families.
 
+The twin embeddings map spine into spine and the root moves, so they are
+in `embedding.shift_embeds`' relation, not root to root.
+
 Labelled paths get a complete small theory of their own: eventually
 periodic label sequences over a finite poset, exact embedding decision,
 shift/displacement analysis, and a twin-count table with verified sample
@@ -497,8 +500,9 @@ def twin_n(t: Term, n: int, horizon: int = 8) -> Term:
     The pruned tree embeds into the original identically beyond the pruned
     zone (and a bare vertex embeds anywhere), and the original embeds into
     the pruned tree by shifting ceil((L+1)/k) periods, which lands every
-    component past the zone.  Different n leave pruned runs of different
-    lengths, so the family is pairwise distinct.
+    component past the zone; both embeddings are `shift_embeds` yes.
+    Different n leave pruned runs of different lengths, so the family is
+    pairwise distinct.
     """
     if n < 1:
         raise TermError("twin index starts at 1")
@@ -514,9 +518,9 @@ def twin_from_subset(t: Term, positions, horizon: int = 8) -> Term:
 
     The result embeds into the original by mapping component n+k's extra
     copy of component n forward along the shift; the original embeds by
-    shifting one period.  Distinct position sets change distinct spine
-    positions, so sets from an almost disjoint family give pairwise
-    distinct twins.
+    shifting one period, both in `shift_embeds`' relation.  Distinct
+    position sets change distinct spine positions, so sets from an almost
+    disjoint family give pairwise distinct twins.
     """
     k = _shift_data(t, horizon)
     pos = sorted(set(int(x) for x in positions))
@@ -551,8 +555,9 @@ MAX_REACH = 128
 
 
 def verify_twins(t: Term, twins, horizon: int = 12) -> dict:
-    """Certify a twin family: every member mutually embeddable with t
-    (engine verdicts), and pairwise distinct cut codes.
+    """Certify a twin family of spined sums: every member mutually
+    embeddable with t (`shift_embeds` both ways), and pairwise distinct cut
+    codes.  Raises TermError when t or a member is not a spined sum.
 
     The cut depth is derived from the family: 20, or two past the deepest
     patched spine position of any member (the reach, at most MAX_REACH),
@@ -564,15 +569,17 @@ def verify_twins(t: Term, twins, horizon: int = 12) -> dict:
     share one intern table, so they are comparable only within one result.
     The mutual checks search spine shifts up to `horizon` past the same
     reach, since the n-th twin_n member needs a shift of at least 3n + 2;
-    they share one embeds memo.
+    they share one memo.
     Members patched past MAX_REACH may come out `unknown` or share a code:
     the family is then reported unverified, never wrongly verified.
     """
     from .cuts import CutCoder
-    from .embedding import embeds
+    from .embedding import shift_embeds
 
     items = [t] + list(twins)
-    patched = [x.seq.last_patch() for x in items if isinstance(x, WSum)]
+    if not all(isinstance(x, WSum) for x in items):
+        raise TermError("twin verification needs spined sums")
+    patched = [x.seq.last_patch() for x in items]
     reach = min(max((n + 2 for n in patched if n >= 0), default=0), MAX_REACH)
     coder = CutCoder(CUT_WIDTH)
     depth = max(20, reach)
@@ -580,7 +587,7 @@ def verify_twins(t: Term, twins, horizon: int = 12) -> dict:
     # one memo, at one horizon, for every check both ways: the members
     # share most component pairs, so each is decided once per family
     h, memo = horizon + reach, {}
-    mutual = [tri_and(embeds(t, s, h, memo), embeds(s, t, h, memo)) for s in twins]
+    mutual = [tri_and(shift_embeds(t, s, h, memo), shift_embeds(s, t, h, memo)) for s in twins]
     distinct = len(set(codes)) == len(codes)
     return {
         "mutual": mutual,

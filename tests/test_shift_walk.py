@@ -31,7 +31,7 @@ from math import lcm
 
 from scattree import embedding, ends
 from scattree.cuts import expand_finite
-from scattree.embedding import embeds, shift_walk
+from scattree.embedding import embeds, shift_embeds, shift_walk
 from scattree.ends import shift_report
 from scattree.finite_trees import rooted_embeds
 from scattree.stability import classify
@@ -221,7 +221,7 @@ class PairBudget:
     pairs exceed PAIRS_PER_WALK per walk started, so a walk that reads every
     position fails at once instead of running for hours.  A periodic walk
     is counted where it runs, at its shift table's `walk`, whether
-    `shift_walk` or `embeds` started it, and reads the pairs its table
+    `shift_walk` or `shift_embeds` started it, and reads the pairs its table
     lists: the marked pairs of its shift, and the pairs of its tail class
     when no earlier walk decided the class.  They are counted one by one as
     the walk takes them.  Any other walk is counted at `shift_walk`; a
@@ -285,8 +285,8 @@ def test_far_patches_cost_bounded_work(monkeypatch):
 
     late = parse_term("wsum(patch([](box);3000:succ(box)))")
     early = parse_term("wsum(patch([](box);1500:succ(box)))")
-    assert embeds(late, early) == NO
-    assert embeds(early, late) == YES
+    assert shift_embeds(late, early) == NO
+    assert shift_embeds(early, late) == YES
 
     # a generated walk reads its pairs through _stage_embeds, which the
     # budget counts one by one
@@ -297,13 +297,13 @@ def test_far_patches_cost_bounded_work(monkeypatch):
 
 
 def test_far_patched_target_costs_bounded_work(monkeypatch):
-    """Embedding a wsum into one patched far out tries shift 0, the shifts
+    """Shifting a wsum along one patched far out tries shift 0, the shifts
     between marks and one shift per class past the target's last mark:
     two walks here, and one tail class read once."""
     ray = parse_term("wsum([](succ(box)))")
     for far in (2000, 20000, 99999999):
         budget = PairBudget(monkeypatch)
-        assert embeds(ray, parse_term(f"wsum(patch([](box);{far}:succ(box)))")) == NO
+        assert shift_embeds(ray, parse_term(f"wsum(patch([](box);{far}:succ(box)))")) == NO
         assert budget.walks == 2
 
 
@@ -401,7 +401,7 @@ def test_equal_components_built_apart_cost_what_shared_ones_do():
 
 def test_far_patch_in_the_source_bounds_the_shifts_tried(monkeypatch):
     """From q's last patch and prefix on, the verdict at shift s repeats with
-    q's cycle, so embedding a wsum into a periodic one tries one cycle of
+    q's cycle, so shifting a wsum along a periodic one tries one cycle of
     shifts past there, however late the source's patches sit."""
     shifts = []
     walk = embedding._ShiftTable.walk
@@ -415,15 +415,15 @@ def test_far_patch_in_the_source_bounds_the_shifts_tried(monkeypatch):
     comb = parse_term("wsum([box](succ(box),box))")
     for far in (100000, 99999999):
         shifts.clear()
-        assert embeds(parse_term(f"wsum(patch([](box);{far}:succ(box)))"), ray) == NO
+        assert shift_embeds(parse_term(f"wsum(patch([](box);{far}:succ(box)))"), ray) == NO
         assert shifts == [0]
         shifts.clear()
-        assert embeds(parse_term(f"wsum(patch([](box);{far}:sup(box,succ(box)*2)))"), comb) == NO
+        assert shift_embeds(parse_term(f"wsum(patch([](box);{far}:sup(box,succ(box)*2)))"), comb) == NO
         assert shifts == [0, 1, 2]
 
 
 def test_the_shifts_tried_decide_as_every_shift_does():
-    """Between periodic wsums, `embeds` tries shift 0, the differences m - n
+    """Between periodic wsums, `shift_embeds` tries shift 0, the differences m - n
     between a mark m of q and a mark n of p, and one shift per class of q's
     cycle from q's settled point on.  Any other shift below that point has
     a superset of its class representative's pairs, so the verdict is the
@@ -443,7 +443,7 @@ def test_the_shifts_tried_decide_as_every_shift_does():
         settled, cycle = settled_from(q), len(inner(q).cycle)
         holds = [s for s in range(settled + cycle) if dense_walk(p, q, s)[0] == YES]
         verdict = YES if holds else NO
-        assert embeds(WSum(p), WSum(q)) == verdict, (format_seq(p), format_seq(q))
+        assert shift_embeds(WSum(p), WSum(q)) == verdict, (format_seq(p), format_seq(q))
         seen[verdict] += 1
         seen["only_a_difference"] += bool(holds) and 0 < holds[0] < settled and holds[-1] < settled
     assert min(seen.values()) >= PAIRS // 20, seen

@@ -8,12 +8,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scattree
+from scattree import embedding
 from scattree.cuts import CutCoder, truncate
-from scattree.embedding import equimorphic
+from scattree.embedding import shift_embeds
 from scattree.finite_trees import canonical_code
 from scattree.stability import CONTINUUM, ONE
-from scattree.terms import BOX, Succ, TermError, UNKNOWN, YES, builtins, parse_term, resolve_name
+from scattree.terms import (
+    BOX,
+    Succ,
+    TermError,
+    UNKNOWN,
+    YES,
+    builtins,
+    parse_term,
+    resolve_name,
+    tri_and,
+)
 from scattree.twins import (
+    MAX_REACH,
     Poset,
     almost_disjoint_family,
     analyze_lpath,
@@ -200,7 +212,7 @@ def test_twin_n_prunes_growing_tops():
     twins = [twin_n(t, n) for n in range(1, 6)]
     assert [w.seq.last_patch() for w in twins] == [4, 7, 10, 13, 16]
     for w in twins:
-        assert equimorphic(t, w) == YES
+        assert shift_embeds(t, w) == shift_embeds(w, t) == YES
         assert w != t
 
 
@@ -212,7 +224,7 @@ def test_twin_n_rejects_rigid_terms():
 def test_twin_from_subset_marks_positions():
     ex1 = builtins()["ex1"]
     w = twin_from_subset(ex1, (1, 3, 6))
-    assert equimorphic(ex1, w) == YES
+    assert shift_embeds(ex1, w) == shift_embeds(w, ex1) == YES
     assert w != ex1
 
 
@@ -245,14 +257,23 @@ def test_verify_twins_runs_both_checks():
 @pytest.mark.parametrize("name", ["ex1", "ex3", "wsum([](succ(box)))"])
 def test_one_family_memo_answers_as_fresh_memos(name):
     """verify_twins runs every mutual check through one memo; each member
-    still gets the verdict that a fresh `equimorphic` gives it at the same
-    horizon."""
+    still gets the verdict that `shift_embeds` gives it both ways, each way
+    with a fresh memo, at the same horizon."""
     t = resolve_name(name)
     family = [twin_n(t, j) for j in range(1, 7)]
-    reach = max(x.seq.last_patch() for x in family) + 2
+    h = 12 + max(x.seq.last_patch() for x in family) + 2
     report = verify_twins(t, family)
-    assert report["mutual"] == [equimorphic(t, x, 12 + reach) for x in family]
+    assert report["mutual"] == [tri_and(shift_embeds(t, x, h), shift_embeds(x, t, h)) for x in family]
     assert report["ok"]
+
+
+def test_verify_twins_needs_spined_sums():
+    t = parse_term("wsum([](succ(box)))")
+    bare = parse_term("sup(succ(box))")
+    with pytest.raises(TermError):
+        verify_twins(bare, [twin_n(t, 1)])
+    with pytest.raises(TermError):
+        verify_twins(t, [twin_n(t, 1), bare])
 
 
 def test_twin_n_family_prune_tops():
@@ -413,14 +434,29 @@ def test_ex2_twin_family_verifies_in_bounded_memory():
     assert peak < 50 * 2**20
 
 
-@pytest.mark.parametrize("name", ["ex1", "ex3"])
-def test_twenty_member_families_verify(name):
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "wsum([](succ(box),box))"])
+def test_twenty_member_families_verify(name, monkeypatch):
     # the n-th member's pruned zone reaches position 3n + 2 or beyond, past
     # both a fixed depth-20 cut and a fixed shift horizon
-    t = builtins()[name]
-    report = verify_twins(t, [twin_n(t, j) for j in range(1, 21)])
+    t = resolve_name(name)
+    family = [twin_n(t, j) for j in range(1, 21)]
+    items = {t, *family}
+    decide, touched = embedding.embeds, []
+
+    def recorder(a, b, *rest):
+        touched.append(a in items or b in items)
+        return decide(a, b, *rest)
+
+    monkeypatch.setattr(embedding, "embeds", recorder)
+    report = verify_twins(t, family)
     assert report["mutual"] == [YES] * 20
     assert report["codes_distinct"]
+    # the mutual checks are shift_embeds both ways: the root-to-root
+    # relation is asked only about components, never about a member
+    assert touched and not any(touched)
+    h = 12 + min(max(x.seq.last_patch() for x in family) + 2, MAX_REACH)
+    for x in family:
+        assert shift_embeds(t, x, h) == shift_embeds(x, t, h) == YES
 
 
 def _succ_chain(n):
