@@ -2,6 +2,9 @@
 their symbolic isomorphism codes (`CutCoder`), the exact expansion of a
 finite term, and the text renderings of a cut.
 
+`CutCoder` keys a cut by the least term that has it (rules (a) and (b)):
+a finite term at most at its height, a deep stage as a shallower stage.
+
 This is the one module of the engine that builds `finite_trees` values;
 the analysis layers read terms only, and `finite_trees` stays an
 independent oracle for them.
@@ -15,6 +18,7 @@ from .terms import (
     BOX,
     INF,
     OMEGA_MULT,
+    Generated,
     Patched,
     Periodic,
     Succ,
@@ -27,6 +31,7 @@ from .terms import (
     fold,
     height,
     stage,
+    stage_index,
     vertex_count,
 )
 
@@ -57,6 +62,8 @@ def truncate(t: Term, depth: int, width: int = 3) -> Truncation:
 
     if depth < 0:
         raise TermError("depth must be >= 0")
+    if width < 1:
+        raise TermError("width must be >= 1")
     edges = []
     spine = []
     lossy = False
@@ -122,11 +129,25 @@ class CutCoder:
     chain) needs no Python recursion.  Ids are handed out in
     first-visit order, so they repeat under every hash seed, and two ids are
     comparable only when the same coder made them.
+
+    A key names the least term with the same cut, so the keys grow with the
+    term and the depth, not with the stages of a generated spine.  (a) A
+    term u of finite height h has key (u, h) at every remaining depth
+    b >= h: the cut keeps all of u.  (b) Let gen(base; C) have hole depth
+    d >= 1.  Its stage i at remaining depth b, as a component or as a patch
+    that copies it (`terms.stage_index`), is coded as stage min(i, m), with
+    m = ceil(b / d): stage i is C^m[stage i - m], whose holes lie at depth
+    m * d >= b or deeper (a hole in a wsum cycle recurs), so every filler,
+    each `*w` arm keeping `width` copies of it, gives the same depth-b cut.
+    Either swap keeps the cut the same tree, children in the same order, so
+    the ids are those the plain keys get.
     """
 
     __slots__ = ("width", "_ids", "_memo")
 
     def __init__(self, width: int):
+        if width < 1:
+            raise TermError("width must be >= 1")
         self.width = width
         self._ids = {}  # sorted ((child id, multiplicity), ...) -> id
         self._memo = {}  # (term, depth) or (seq, spine position, depth) -> id
@@ -134,7 +155,7 @@ class CutCoder:
     def code(self, t: Term, depth: int) -> int:
         if depth < 0:
             raise TermError("depth must be >= 0")
-        return fold((t, depth), self._kids, self._intern, self._memo)
+        return fold(_term_key(t, depth), self._kids, self._intern, self._memo)
 
     def _kids(self, key):
         """{child key: multiplicity} of the cut named by key, in the order
@@ -148,7 +169,7 @@ class CutCoder:
             # spine vertex j of wsum(seq): component j, then spine vertex
             # j + 1 one level down
             seq, j, budget = key
-            t = stage(seq, j)
+            t = _component(seq, j, budget)
             last = (*_spine_key(seq, j + 1), budget - 1) if budget >= 1 else None
         kids = {}
         # tasks, the next on top: (term, copies) hangs the child cuts at
@@ -159,7 +180,7 @@ class CutCoder:
             cls = type(t)
             if cls is Succ:
                 if budget >= 1:
-                    k = (t.child, budget - 1)
+                    k = _term_key(t.child, budget - 1)
                     kids[k] = kids.get(k, 0) + copies
             elif cls is Sup:
                 for a, m in reversed(t.arms):
@@ -171,9 +192,9 @@ class CutCoder:
             elif cls is WSum:
                 if budget >= 1:
                     stack.append(((*_spine_key(t.seq, 1), budget - 1), copies))
-                stack.append((stage(t.seq, 0), copies))
+                stack.append((_component(t.seq, 0, budget), copies))
             elif cls is SupSeq:
-                stack.extend((stage(t.seq, j), copies) for j in reversed(range(self.width)))
+                stack.extend((_component(t.seq, j, budget), copies) for j in reversed(range(self.width)))
             else:
                 raise TermError(f"bad term {t!r}")
         if last is not None:
@@ -186,6 +207,20 @@ class CutCoder:
             c = memo[k]
             shape[c] = shape.get(c, 0) + m
         return self._ids.setdefault(tuple(sorted(shape.items())), len(self._ids))
+
+
+def _term_key(t, budget):
+    """The key of t's cut at remaining depth budget, by rule (a)."""
+    return (t, budget if budget < t.height else t.height)
+
+
+def _component(seq, j, budget):
+    """Component j of seq, as the least stage with the same cut at remaining
+    depth budget, by rule (b)."""
+    gen = seq.inner if isinstance(seq, Patched) else seq
+    d = gen.context.hole_depth() if isinstance(gen, Generated) else 0
+    k = stage_index(seq, j) if d else None
+    return stage(seq, j) if k is None else stage(gen, min(k, -(-budget // d)))
 
 
 def _spine_key(seq, j):

@@ -34,6 +34,7 @@ from .terms import (
     components,
     root_children,
     stage,
+    stage_index,
     tri_and,
 )
 
@@ -466,8 +467,8 @@ def _stage_embeds(p, i, q, j, horizon, memo):
         and gp.context == gq.context
         and gp.base == gq.base
     ):
-        ii = _effective_stage_index(p, i)
-        jj = _effective_stage_index(q, j)
+        ii = stage_index(p, i)
+        jj = stage_index(q, j)
         if ii is not None and jj is not None:
             if ii < jj:
                 if embeds(gp.base, stage(gq, jj - ii), horizon, memo) == YES:
@@ -475,20 +476,6 @@ def _stage_embeds(p, i, q, j, horizon, memo):
             elif growth_certificate(gp):
                 return NO
     return embeds(a, b, horizon, memo)
-
-
-def _effective_stage_index(seq, n):
-    """If component n of seq equals stage k of the underlying generator,
-    return k."""
-    if isinstance(seq, Patched):
-        t = seq.patch_at(n)
-        if t is None:
-            return n
-        found = seq._stage_index
-        if n not in found:
-            found[n] = next((k for k in range(n + 2) if stage(seq.inner, k) == t), None)
-        return found[n]
-    return n
 
 
 def growth_certificate(gen: Generated):

@@ -286,12 +286,14 @@ class Periodic(ComponentSeq):
 
 
 class Generated(ComponentSeq):
-    __slots__ = ("base", "context", "_stages")
+    # _index: stage term -> its least index, filled by `stage_index` alone
+    __slots__ = ("base", "context", "_stages", "_index")
 
     def __init__(self, base: Term, context: "Context"):
         self.base = base
         self.context = context
         self._stages = [base]
+        self._index = {}
         self.first = base
         self._layout = None  # never filled: the layout would refer to self
         self._hash = hash(("generated", base._hash, context._hash))
@@ -319,7 +321,7 @@ class Patched(ComponentSeq):
         self._map = dict(self.patches)
         self.first = self._map.get(0, inner.first)
         self._layout = None
-        self._stage_index = {}  # patched position -> _effective_stage_index
+        self._stage_index = {}  # patched position -> stage_index
 
     def _key(self):
         return (self.inner, self.patches)
@@ -757,6 +759,26 @@ def stage(seq: ComponentSeq, n: int) -> Term:
         t = seq.patch_at(n)
         return stage(seq.inner, n) if t is None else t
     raise TermError(f"bad sequence {seq!r}")
+
+
+def stage_index(seq: ComponentSeq, n: int):
+    """Which stage component n of a generated sequence, patched or not,
+    is: n at a position no patch overrides, and at a patched one the least
+    k <= n + 1 whose stage equals the patch, or None.  A patched position
+    costs one lookup in the generator's table of least stage indices,
+    grown to stage n + 1 when needed, and its answer is kept by position."""
+    t = seq.patch_at(n) if isinstance(seq, Patched) else None
+    if t is None:
+        return n
+    found = seq._stage_index
+    if n not in found:
+        index = seq.inner._index
+        # stages 0..len(index) - 1 are entered: each adds one entry at most
+        for k in range(len(index), n + 2):
+            index.setdefault(stage(seq.inner, k), k)
+        k = index.get(t, n + 2)
+        found[n] = k if k <= n + 1 else None
+    return found[n]
 
 
 def shift_seq(seq: ComponentSeq, k: int) -> ComponentSeq:

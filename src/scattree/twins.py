@@ -557,7 +557,8 @@ MAX_REACH = 128
 def verify_twins(t: Term, twins, horizon: int = 12) -> dict:
     """Certify a twin family of spined sums: every member mutually
     embeddable with t (`shift_embeds` both ways), and pairwise distinct cut
-    codes.  Raises TermError when t or a member is not a spined sum.
+    codes.  Raises TermError when the family is empty, or when t or a
+    member is not a spined sum.
 
     The cut depth is derived from the family: 20, or two past the deepest
     patched spine position of any member (the reach, at most MAX_REACH),
@@ -577,8 +578,8 @@ def verify_twins(t: Term, twins, horizon: int = 12) -> dict:
     from .embedding import shift_embeds
 
     items = [t] + list(twins)
-    if not all(isinstance(x, WSum) for x in items):
-        raise TermError("twin verification needs spined sums")
+    if len(items) < 2 or not all(isinstance(x, WSum) for x in items):
+        raise TermError("twin verification needs a nonempty family of spined sums")
     patched = [x.seq.last_patch() for x in items]
     reach = min(max((n + 2 for n in patched if n >= 0), default=0), MAX_REACH)
     coder = CutCoder(CUT_WIDTH)

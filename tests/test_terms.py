@@ -37,6 +37,7 @@ from scattree.terms import (
     shift_seq,
     spine_address,
     stage,
+    stage_index,
     vertex_count,
 )
 from test_parse import context, depth, plain, term  # the parser tests' grammar
@@ -129,6 +130,16 @@ def test_stage_periodic_and_patched():
     patched = Patched(seq, {1: parse_term("succ(succ(box))")})
     assert stage(patched, 1) == parse_term("succ(succ(box))")
     assert stage(patched, 3) == BOX
+
+
+def test_stage_index_names_the_least_stage_a_patch_copies():
+    gen = parse_term("wsum(gen(box;succ(_)))").seq
+    chain = [stage(gen, k) for k in range(4)]
+    seq = Patched(gen, {1: chain[3], 2: chain[3], 4: chain[0], 6: parse_term("sup(succ(box),box)")})
+    # position 4 first, so the table already holds stage 3 when position 1
+    # asks: stage 3 lies past 1 + 1 there, and the answer is still None
+    assert [stage_index(seq, n) for n in (4, 1, 2, 3, 6)] == [0, None, 3, 3, None]
+    assert [stage_index(gen, n) for n in (0, 5)] == [0, 5]
 
 
 def test_stage_generated_applies_context():

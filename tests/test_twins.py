@@ -16,12 +16,15 @@ from scattree.stability import CONTINUUM, ONE
 from scattree.terms import (
     BOX,
     Succ,
+    Term,
     TermError,
     UNKNOWN,
     YES,
     builtins,
     parse_term,
     resolve_name,
+    stage,
+    stage_index,
     tri_and,
 )
 from scattree.twins import (
@@ -376,7 +379,33 @@ def _oracle_corpus():
         parse_term("wsum([succ(box)](box,succ(box),succ(succ(box))))"),
         parse_term("wsum(patch([succ(box)](box,succ(box),succ(succ(box)));4:succ(box)))"),
     ]
+    # generated spines, whose deep stages are coded as the least stage with
+    # the same cut: contexts with the hole at depth 0 to 3, a *w arm on the
+    # hole path, holes inside a context wsum, and patches that copy stages
+    for ctx in _HOLE_CONTEXTS:
+        for base in ("box", "succ(box)", "sup(box*w,succ(box))", "wsum([](box))"):
+            terms += [parse_term(f"{kind}(gen({base};{ctx}))") for kind in ("wsum", "supseq")]
+    for text in ("ex3", "wsum(gen(box;sup(succ(succ(_))*2)))", "wsum(gen(succ(box);wsum([box](_))))"):
+        t = resolve_name(text)
+        terms += [twin_from_subset(t, (0, 2)), twin_from_subset(t, (1, 3, 4))]
+    terms.append(parse_term("wsum(patch(gen(box;succ(succ(_)));1:succ(succ(succ(succ(box)))),3:box))"))
     return terms
+
+
+# hole depths 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3
+_HOLE_CONTEXTS = (
+    "sup(_,succ(box))",
+    "wsum([_](box))",
+    "succ(_)",
+    "sup(succ(_)*w)",
+    "wsum([box](_))",
+    "succ(succ(_))",
+    "succ(sup(succ(_)*2,box))",
+    "wsum([succ(box),box](_))",
+    "succ(succ(succ(_)))",
+    "sup(succ(succ(succ(_)))*w,succ(box))",
+    "succ(wsum([sup(box*2)](box,_)))",
+)
 
 
 def test_cut_codes_match_canonical_codes_of_truncations():
@@ -403,6 +432,15 @@ ex1 = builtins()["ex1"]
 coder = CutCoder(3)
 print([coder.code(t, d) for t in builtins().values() for d in range(6)])
 print(verify_twins(ex1, [twin_n(ex1, j) for j in (1, 2)] + [twin_from_subset(ex1, (2, 5))])["codes"])
+print([CutCoder(6).code(t, 40) for t in builtins().values()])
+"""
+
+# the ids _PRINT_CODES prints under every hash seed; the benchmark's twins
+# digest hashes such ids, so a change of cut keys that renumbers them fails
+_PINNED_CODES = """\
+[0, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 0, 1, 7, 9, 12, 15, 0, 1, 17, 19, 23, 26, 0, 6, 27, 28, 31, 34, 0, 16, 35, 38, 40, 44]
+['20', '25', '33', '40']
+[0, 40, 40, 59, 272, 59]
 """
 
 
@@ -415,8 +453,54 @@ def test_cut_codes_repeat_under_every_hash_seed():
             [sys.executable, "-c", _PRINT_CODES], env=env, capture_output=True, text=True, check=True
         )
         outs.append(run.stdout)
-    assert outs[0] == outs[1]
-    assert outs[0].count("\n") == 2
+    assert outs[0] == outs[1] == _PINNED_CODES
+
+
+@pytest.mark.parametrize("name, depth, most", [("ex1", 400, 1000), ("ex4", 400, 1000), ("ex3", 200, 7000)])
+def test_cut_keys_grow_with_the_depth_not_the_stages(name, depth, most):
+    # keyed by (stage, depth) the deep cuts of a generated spine take
+    # quadratically many memo entries: 40401, 40601 and 13734 here
+    coder = CutCoder(6)
+    coder.code(builtins()[name], depth)
+    assert len(coder._memo) <= most
+
+
+def test_stage_index_compares_each_stage_once(monkeypatch):
+    # every patch of a twin_n member is a box, which no stage of ex3 is: a
+    # scan of stages 0..n + 1 per position compares quadratically often
+    ex3 = builtins()["ex3"]
+    seq = twin_n(ex3, 200).seq
+    positions = seq.last_patch() + 2
+    compared = []
+    equal = Term.__eq__
+
+    def counted_stage(s, n):
+        compared.append(n)
+        return stage(s, n)
+
+    def counted_equal(a, b):
+        compared.append(None)
+        return equal(a, b)
+
+    monkeypatch.setattr("scattree.terms.stage", counted_stage)
+    monkeypatch.setattr(Term, "__eq__", counted_equal)
+    found = [stage_index(seq, n) for n in range(positions)]
+    assert found == [None] * (positions - 1) + [positions - 1]
+    assert positions > 600 and len(compared) <= 2 * positions
+
+
+def test_verify_twins_needs_a_member():
+    with pytest.raises(TermError):
+        verify_twins(builtins()["ex1"], [])
+
+
+@pytest.mark.parametrize("width", [0, -1])
+def test_cut_width_must_be_positive(width):
+    ex2 = builtins()["ex2"]
+    with pytest.raises(TermError):
+        CutCoder(width)
+    with pytest.raises(TermError):
+        truncate(ex2, 3, width=width)
 
 
 def test_ex2_twin_family_verifies_in_bounded_memory():
