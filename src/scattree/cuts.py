@@ -159,9 +159,10 @@ class CutCoder:
 
     def _kids(self, key):
         """{child key: multiplicity} of the cut named by key, in the order
-        truncate hangs the child cuts.  The roots identified at the key's
-        vertex are flattened from an explicit stack, so a sup nest of any
-        depth needs no Python recursion."""
+        truncate hangs the child cuts.  A succ or a single vertex is read
+        at once; the roots identified at any other vertex are flattened
+        from an explicit stack, so a sup nest of any depth needs no Python
+        recursion."""
         if len(key) == 2:
             t, budget = key
             last = None
@@ -170,43 +171,60 @@ class CutCoder:
             # j + 1 one level down
             seq, j, budget = key
             t = _component(seq, j, budget)
-            last = (*_spine_key(seq, j + 1), budget - 1) if budget >= 1 else None
-        kids = {}
-        # tasks, the next on top: (term, copies) hangs the child cuts at
-        # term's root, and (child key, copies) counts one
-        stack = [(t, 1)]
-        while stack:
-            t, copies = stack.pop()
-            cls = type(t)
-            if cls is Succ:
-                if budget >= 1:
-                    k = _term_key(t.child, budget - 1)
-                    kids[k] = kids.get(k, 0) + copies
-            elif cls is Sup:
-                for a, m in reversed(t.arms):
-                    stack.append((a, copies * (self.width if m == OMEGA_MULT else m)))
-            elif cls is tuple:
-                kids[t] = kids.get(t, 0) + copies
-            elif t.single:
-                pass  # a box, or a supseq of boxes: no child cut
-            elif cls is WSum:
-                if budget >= 1:
-                    stack.append(((*_spine_key(t.seq, 1), budget - 1), copies))
-                stack.append((_component(t.seq, 0, budget), copies))
-            elif cls is SupSeq:
-                stack.extend((_component(t.seq, j, budget), copies) for j in reversed(range(self.width)))
-            else:
-                raise TermError(f"bad term {t!r}")
+            last = _spine_key(seq, j + 1, budget - 1) if budget >= 1 else None
+        cls = type(t)
+        if cls is Succ:
+            kids = {_term_key(t.child, budget - 1): 1} if budget >= 1 else {}
+        elif t.single:
+            kids = {}  # a box, or a supseq of boxes: no child cut
+        else:
+            kids = {}
+            # tasks, the next on top: (term, copies) hangs the child cuts at
+            # term's root, and (child key, copies) counts one
+            stack = [(t, 1)]
+            while stack:
+                t, copies = stack.pop()
+                cls = type(t)
+                if cls is Succ:
+                    if budget >= 1:
+                        k = _term_key(t.child, budget - 1)
+                        kids[k] = kids.get(k, 0) + copies
+                elif cls is Sup:
+                    for a, m in reversed(t.arms):
+                        stack.append((a, copies * (self.width if m == OMEGA_MULT else m)))
+                elif cls is tuple:
+                    kids[t] = kids.get(t, 0) + copies
+                elif t.single:
+                    pass
+                elif cls is WSum:
+                    if budget >= 1:
+                        stack.append((_spine_key(t.seq, 1, budget - 1), copies))
+                    stack.append((_component(t.seq, 0, budget), copies))
+                elif cls is SupSeq:
+                    stack.extend((_component(t.seq, j, budget), copies) for j in reversed(range(self.width)))
+                else:
+                    raise TermError(f"bad term {t!r}")
         if last is not None:
             kids[last] = kids.get(last, 0) + 1
         return kids
 
     def _intern(self, key, kids, memo):
-        shape = {}
-        for k, m in kids.items():
-            c = memo[k]
-            shape[c] = shape.get(c, 0) + m
-        return self._ids.setdefault(tuple(sorted(shape.items())), len(self._ids))
+        """The id of the sorted multiset of the children's ids; one or two
+        children make their tuple directly."""
+        if len(kids) == 1:
+            ((k, m),) = kids.items()
+            shape = ((memo[k], m),)
+        elif len(kids) == 2:
+            (a, m), (b, n) = kids.items()
+            a, b = memo[a], memo[b]
+            shape = ((a, m), (b, n)) if a < b else ((b, n), (a, m)) if b < a else ((a, m + n),)
+        else:
+            counts = {}
+            for k, m in kids.items():
+                c = memo[k]
+                counts[c] = counts.get(c, 0) + m
+            shape = tuple(sorted(counts.items()))
+        return self._ids.setdefault(shape, len(self._ids))
 
 
 def _term_key(t, budget):
@@ -217,21 +235,28 @@ def _term_key(t, budget):
 def _component(seq, j, budget):
     """Component j of seq, as the least stage with the same cut at remaining
     depth budget, by rule (b)."""
-    gen = seq.inner if isinstance(seq, Patched) else seq
-    d = gen.context.hole_depth() if isinstance(gen, Generated) else 0
+    gen = seq.inner if type(seq) is Patched else seq
+    if type(gen) is not Generated:
+        return stage(seq, j)
+    d = gen.context.hole_depth()
     k = stage_index(seq, j) if d else None
-    return stage(seq, j) if k is None else stage(gen, min(k, -(-budget // d)))
+    if k is None:
+        return stage(seq, j)
+    k = min(k, -(-budget // d))
+    stages = gen._stages
+    return stages[k] if k < len(stages) else stage(gen, k)
 
 
-def _spine_key(seq, j):
-    """(sequence, position) naming spine vertex j's cut: past the last patch
-    the inner sequence, and a periodic position folded into its first
-    period, so spines that agree from some vertex on share their codes."""
-    if isinstance(seq, Patched) and j > seq.last_patch():
+def _spine_key(seq, j, budget):
+    """The key of spine vertex j's cut at remaining depth budget: past the
+    last patch the inner sequence, and a periodic position folded into its
+    first period, so spines that agree from some vertex on share their
+    codes."""
+    if type(seq) is Patched and j > seq.last_patch():
         seq = seq.inner
-    if isinstance(seq, Periodic) and j >= len(seq.prefix) + len(seq.cycle):
+    if type(seq) is Periodic and j >= len(seq.prefix) + len(seq.cycle):
         j = len(seq.prefix) + (j - len(seq.prefix)) % len(seq.cycle)
-    return seq, j
+    return seq, j, budget
 
 
 def expand_finite(t: Term):

@@ -342,9 +342,11 @@ class Context:
     holes, rejects generated sequences and supseq, and records `path`, the
     (node, index) steps from the root to the hole.  The index is the arm of
     a sup, the position in prefix + cycle of a wsum, and 0 under a succ.
-    Every hole query reads that path."""
+    The hole's depth and its count of wsum cycle steps are summed along
+    that path once, here, and kept: cut codes and stage analysis ask for
+    them per component."""
 
-    __slots__ = ("shape", "path", "_hash")
+    __slots__ = ("shape", "path", "_hash", "_hole_depth", "_hole_wsum_cycles")
 
     def __init__(self, shape):
         holes, found = 0, None
@@ -375,10 +377,17 @@ class Context:
         if holes != 1:
             raise TermError(f"context must have exactly one hole, found {holes}")
         path = []
+        depth = cycles = 0
         while found is not None:
             found, node, i = found
             path.append((node, i))
+            if isinstance(node, Succ):
+                depth += 1
+            elif isinstance(node, WSum):
+                depth += i  # spine position i lies i edges below the wsum's root
+                cycles += i >= len(node.seq.prefix)
         self.path = tuple(reversed(path))
+        self._hole_depth, self._hole_wsum_cycles = depth, cycles
         self.shape = shape
         self._hash = hash(("context", shape._hash))
 
@@ -411,14 +420,11 @@ class Context:
     def hole_depth(self):
         """Edge distance from the context root to the hole's root position
         (sup arms add nothing: roots are identified)."""
-        return sum(
-            1 if isinstance(node, Succ) else i if isinstance(node, WSum) else 0
-            for node, i in self.path
-        )
+        return self._hole_depth
 
     def hole_wsum_cycles(self):
         """How many steps of the hole path enter a cycle position of a wsum."""
-        return sum(isinstance(node, WSum) and i >= len(node.seq.prefix) for node, i in self.path)
+        return self._hole_wsum_cycles
 
     def hole_under_sup_branch(self):
         """Is there a sup node on the hole path whose other content guarantees
@@ -746,18 +752,22 @@ def stage(seq: ComponentSeq, n: int) -> Term:
     """The n-th component term, fully expanded for generated sequences."""
     if n < 0:
         raise TermError("stage index must be >= 0")
-    if isinstance(seq, Periodic):
+    cls = type(seq)
+    if cls is Patched:
+        t = seq._map.get(n)
+        if t is not None:
+            return t
+        seq = seq.inner  # never itself patched: Patched merges nested patches
+        cls = type(seq)
+    if cls is Periodic:
         if n < len(seq.prefix):
             return seq.prefix[n]
         return seq.cycle[(n - len(seq.prefix)) % len(seq.cycle)]
-    if isinstance(seq, Generated):
+    if cls is Generated:
         stages = seq._stages
         while len(stages) <= n:
             stages.append(seq.context.subst(stages[-1]))
         return stages[n]
-    if isinstance(seq, Patched):
-        t = seq.patch_at(n)
-        return stage(seq.inner, n) if t is None else t
     raise TermError(f"bad sequence {seq!r}")
 
 
@@ -767,7 +777,9 @@ def stage_index(seq: ComponentSeq, n: int):
     k <= n + 1 whose stage equals the patch, or None.  A patched position
     costs one lookup in the generator's table of least stage indices,
     grown to stage n + 1 when needed, and its answer is kept by position."""
-    t = seq.patch_at(n) if isinstance(seq, Patched) else None
+    if type(seq) is not Patched:
+        return n
+    t = seq._map.get(n)
     if t is None:
         return n
     found = seq._stage_index

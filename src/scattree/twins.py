@@ -8,10 +8,12 @@ Two generators work on spined sums with a strict shift period:
   the tail), and the original embeds back by shifting a whole number of
   periods past the pruned zone, so the results are genuine twins; their
   pruned runs have different lengths, so they are pairwise distinct.
-* ``twin_from_subset`` re-hangs, for every position n in a chosen set, a
-  copy of component n one period later.  Distinct position sets give
-  distinct trees, and almost disjoint families of position sets witness
-  large twin families.
+* ``twin_from_subset`` replaces, for every position n in a chosen set,
+  component n + k with a copy of component n (k the least strict shift
+  period).  The member embeds into the original at shift 0, and the
+  original into the member at shift k; each holds because k is a strict
+  shift period.  Distinct position sets give distinct trees, and almost
+  disjoint families of position sets witness large twin families.
 
 The twin embeddings map spine into spine and the root moves, so they are
 in `embedding.shift_embeds`' relation, not root to root.
@@ -512,20 +514,30 @@ def twin_n(t: Term, n: int, horizon: int = 8) -> Term:
 
 
 def twin_from_subset(t: Term, positions, horizon: int = 8) -> Term:
-    """A twin indexed by a finite set of spine positions: for each n in the
-    set, hang a fresh copy of component n at position n + k as well (k the
-    least strict period).
+    """A twin indexed by a finite nonempty set of spine positions: for each
+    n in the set, component n + k is replaced by a copy of component n (k
+    the least strict period).
 
-    The result embeds into the original by mapping component n+k's extra
-    copy of component n forward along the shift; the original embeds by
-    shifting one period, both in `shift_embeds`' relation.  Distinct
-    position sets change distinct spine positions, so sets from an almost
-    disjoint family give pairwise distinct twins.
+    Both embeddings are in `shift_embeds`' relation.  The result embeds
+    into the original at shift 0: every component not replaced maps to
+    itself, and a replaced component n + k holds component n, which the
+    period-k shift sends to spine vertex n + k.  The original embeds into
+    the result at shift k: the shift sends each component n to spine
+    vertex n + k, where the result holds component n itself or the
+    original component n + k.  Each holds because k is a strict shift
+    period.  Distinct position sets change distinct spine positions, so
+    sets from an almost disjoint family give pairwise distinct twins.
     """
+    positions = list(positions)
+    if not positions:
+        raise TermError("a twin needs at least one position")
+    for x in positions:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise TermError(f"positions must be integers, not {x!r}")
+        if x < 0:
+            raise TermError("positions must be >= 0")
+    pos = sorted(set(positions))
     k = _shift_data(t, horizon)
-    pos = sorted(set(int(x) for x in positions))
-    if any(x < 0 for x in pos):
-        raise TermError("positions must be >= 0")
     patches = {
         x + k: stage(t.seq, x) for x in pos if stage(t.seq, x) != stage(t.seq, x + k)
     }

@@ -4,7 +4,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scattree.cuts import expand_finite, truncate, truncation_dot
+from scattree.cuts import CutCoder, expand_finite, truncate, truncation_dot
 from scattree.embedding import embeds, equimorphic, shift_embeds
 from scattree.finite_trees import canonical_code, rooted_embeds
 from scattree.terms import (
@@ -348,6 +348,30 @@ def test_hole_queries_read_the_path():
     assert height(stage(deep, 2)) == 6000
     with pytest.raises(TermError, match="exactly one hole, found 2"):
         Context(Sup(((HOLE, 1), (Succ(HOLE), 1))))
+
+
+def test_hole_measures_are_stored_once(monkeypatch):
+    rng = random.Random(23)
+    for _ in range(600):
+        ctx = parse_term(f"wsum(gen(box;{''.join(context(rng, rng.randint(1, 5)))}))").seq.context
+        edges = cycles = 0
+        for node, i in ctx.path:
+            if isinstance(node, Succ):
+                edges += 1
+            elif isinstance(node, WSum):
+                edges += i
+                cycles += i >= len(node.seq.prefix)
+        assert (ctx.hole_depth(), ctx.hole_wsum_cycles()) == (edges, cycles)
+    # with its stages built, coding ex3 asks for the hole depth per
+    # component and reads no context's path
+    ex3 = builtins()["ex3"]
+    CutCoder(6).code(ex3, 200)
+    read = []
+    path = Context.__dict__["path"]
+    monkeypatch.setattr(Context, "path", property(lambda ctx: read.append(ctx) or path.__get__(ctx)))
+    CutCoder(6).code(ex3, 200)
+    assert read == []
+    assert ex3.seq.context.path and read  # the recorder sees a read
     with pytest.raises(TermError, match="exactly one hole, found 0"):
         Context(Succ(BOX))
     with pytest.raises(TermError, match="cannot contain supseq"):

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -238,6 +239,15 @@ def test_twin_from_subset_rejects_noop_patches():
     assert "no-op" in str(e.value)
 
 
+@pytest.mark.parametrize(
+    "positions, message",
+    [((), "at least one position"), ((1.5,), "integers, not 1.5"), ((2, "x"), "integers, not 'x'"), ((True,), "integers")],
+)
+def test_twin_from_subset_validates_positions(positions, message):
+    with pytest.raises(TermError, match=message):
+        twin_from_subset(builtins()["ex1"], positions)
+
+
 def test_almost_disjoint_family_overlaps_are_finite():
     fam = almost_disjoint_family(3)
     assert len(fam) == 3
@@ -454,6 +464,57 @@ def test_cut_codes_repeat_under_every_hash_seed():
         )
         outs.append(run.stdout)
     assert outs[0] == outs[1] == _PINNED_CODES
+
+
+def _cli_seed_sets(seed, count):
+    """The position sets of `scattree twins --seed seed --count count`."""
+    rng = random.Random(seed)
+    offsets = rng.sample(range(max(6, count)), count)
+    return [tuple(j * (j + 1) // 2 + off for j in range(1, 7)) for off in offsets]
+
+
+# the first 16 hex digits of the sha256 of each family's verify_twins codes,
+# as (term, members, --seed or None for twin_n); the comb rejects every set
+_PINNED_FAMILY_CODES = {
+    ("ex1", 3, None): "12ae7cd2e99ea0a3",
+    ("ex1", 3, 1): "7411019892bc9032",
+    ("ex1", 3, 2): "adea9f49448793c7",
+    ("ex1", 3, 3): "71c4a868390e51f5",
+    ("ex1", 8, None): "9119a9f1fd0de521",
+    ("ex1", 8, 1): "01e8da3b08dec9e9",
+    ("ex1", 8, 2): "263fdd32e5ec1731",
+    ("ex1", 8, 3): "13168cd8c86f3102",
+    ("ex3", 3, None): "32f8d742c577ffa6",
+    ("ex3", 3, 1): "cfbe3c428b045b8a",
+    ("ex3", 3, 2): "cf1fad3daeeb7ca4",
+    ("ex3", 3, 3): "ab02cecda016bc90",
+    ("ex3", 8, None): "7fa30b4ad32b76f6",
+    ("ex3", 8, 1): "b39b2adb88654e96",
+    ("ex3", 8, 2): "685e0a00bbdc8cac",
+    ("ex3", 8, 3): "430e0eb1e5655699",
+    ("wsum([](succ(box)))", 3, None): "12ae7cd2e99ea0a3",
+    ("wsum([](succ(box)))", 8, None): "9119a9f1fd0de521",
+}
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex3", "wsum([](succ(box)))"])
+@pytest.mark.parametrize("members", [3, 8])
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_twin_family_codes_are_pinned(name, members, seed):
+    # the twins workload's families at the verify depths 20..30: the ids
+    # are handed out in first-visit order, which a change of cut keys or of
+    # child order renumbers
+    t = resolve_name(name)
+    if seed is None:
+        family = [twin_n(t, j) for j in range(1, members + 1)]
+    elif (name, members, seed) in _PINNED_FAMILY_CODES:
+        family = [twin_from_subset(t, a) for a in _cli_seed_sets(seed, members)]
+    else:
+        with pytest.raises(TermError, match="no-op"):
+            twin_from_subset(t, _cli_seed_sets(seed, members)[0])
+        return
+    codes = verify_twins(t, family, horizon=12)["codes"]
+    assert hashlib.sha256(" ".join(codes).encode()).hexdigest()[:16] == _PINNED_FAMILY_CODES[name, members, seed]
 
 
 @pytest.mark.parametrize("name, depth, most", [("ex1", 400, 1000), ("ex4", 400, 1000), ("ex3", 200, 7000)])
