@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 
 from .terms import (
-    BOX,
     INF,
     OMEGA_MULT,
     Generated,
@@ -27,7 +26,6 @@ from .terms import (
     Term,
     TermError,
     WSum,
-    components,
     fold,
     height,
     stage,
@@ -53,11 +51,12 @@ class Truncation:
 
 
 def truncate(t: Term, depth: int, width: int = 3) -> Truncation:
-    """Induced subtree of all vertices within `depth` of the root.  Omega
-    multiplicities and supseq families are cut to `width` copies and flagged
-    lossy when that hides anything.  Vertices are numbered depth first,
-    from an explicit stack of tasks, so a deep cut needs no Python
-    recursion."""
+    """Induced subtree of all vertices within `depth` of the root.  A `*w`
+    arm, and likewise each recurring member of a supseq, is cut to `width`
+    copies, and the cut is flagged lossy when that hides anything; a supseq
+    whose generated stages have a child is cut to its first `width`
+    members, also lossy.  Vertices are numbered depth first, from an
+    explicit stack of tasks, so a deep cut needs no Python recursion."""
     from .finite_trees import FiniteTree
 
     if depth < 0:
@@ -93,7 +92,11 @@ def truncate(t: Term, depth: int, width: int = 3) -> Truncation:
                 n += 1
             else:
                 lossy = True
-        elif isinstance(term, Sup):
+        elif isinstance(term, (Sup, SupSeq)):
+            if term.arms is None:
+                lossy = True  # `width` members stand for a generated family
+                stack.extend((stage(term.seq, j), v, budget) for j in reversed(range(width)))
+                continue
             copies = []
             for a, m in term.arms:
                 if not a.single:
@@ -107,9 +110,6 @@ def truncate(t: Term, depth: int, width: int = 3) -> Truncation:
             if budget >= 1:
                 stack.append((term.seq, 1, v, budget))
             stack.append((stage(term.seq, 0), v, budget))
-        elif isinstance(term, SupSeq):
-            lossy = True  # `width` members stand for a family that is not all single
-            stack.extend((stage(term.seq, j), v, budget) for j in reversed(range(width)))
         else:
             raise TermError(f"bad term {term!r}")
     return Truncation(FiniteTree(n, edges), 0, lossy, spine)
@@ -118,9 +118,19 @@ def truncate(t: Term, depth: int, width: int = 3) -> Truncation:
 class CutCoder:
     """Symbolic isomorphism codes of truncation cuts, without building them.
 
-    ``code(t, depth)`` is an integer id of the rooted isomorphism class of
-    ``truncate(t, depth, width).rooted``: the AHU scheme (Aho, Hopcroft and
-    Ullman 1974) with the children's classes interned as a sorted multiset.
+    ``code(t, depth)`` is an integer id of the depth-`depth` cut of t with
+    capped class counts: the AHU scheme (Aho, Hopcroft and Ullman 1974),
+    each vertex's children interned as the sorted multiset of their
+    classes, every class counted min(N, width) times, N its count in the
+    tree (w for a `*w` arm or a recurring supseq member).  So the id is an
+    isomorphism invariant of the tree, and two trees with different ids
+    differ within `depth` of the root.  The plain cut is not one:
+    ``truncate`` hangs 1 + width copies of s under sup(s, s*w) and width
+    under sup(s*w), two trees with w copies of s at the root.  It is the
+    class of ``truncate(t, depth, width)`` with each vertex's children
+    capped at `width` per class.  A supseq whose generated stages have a
+    child counts its first `width` members only, as ``truncate`` does.
+
     A cut is a function of (subterm, remaining depth), and a spine vertex's
     cut of (sequence, spine position, remaining depth), so both the codes
     and the intern table are memoised on those keys; the work grows with the
@@ -189,7 +199,7 @@ class CutCoder:
                     if budget >= 1:
                         k = _term_key(t.child, budget - 1)
                         kids[k] = kids.get(k, 0) + copies
-                elif cls is Sup:
+                elif cls is Sup or cls is SupSeq and t.arms is not None:
                     for a, m in reversed(t.arms):
                         stack.append((a, copies * (self.width if m == OMEGA_MULT else m)))
                 elif cls is tuple:
@@ -209,20 +219,28 @@ class CutCoder:
         return kids
 
     def _intern(self, key, kids, memo):
-        """The id of the sorted multiset of the children's ids; one or two
-        children make their tuple directly."""
+        """The id of the sorted multiset of the children's ids, each id
+        counted at most `width` times; one or two children make their tuple
+        directly."""
+        w = self.width
         if len(kids) == 1:
             ((k, m),) = kids.items()
-            shape = ((memo[k], m),)
+            shape = ((memo[k], m if m < w else w),)
         elif len(kids) == 2:
             (a, m), (b, n) = kids.items()
             a, b = memo[a], memo[b]
-            shape = ((a, m), (b, n)) if a < b else ((b, n), (a, m)) if b < a else ((a, m + n),)
+            if a == b:
+                m += n
+                shape = ((a, m if m < w else w),)
+            else:
+                m, n = m if m < w else w, n if n < w else w
+                shape = ((a, m), (b, n)) if a < b else ((b, n), (a, m))
         else:
             counts = {}
             for k, m in kids.items():
                 c = memo[k]
-                counts[c] = counts.get(c, 0) + m
+                m += counts.get(c, 0)
+                counts[c] = m if m < w else w
             shape = tuple(sorted(counts.items()))
         return self._ids.setdefault(shape, len(self._ids))
 
@@ -260,40 +278,13 @@ def _spine_key(seq, j, budget):
 
 
 def expand_finite(t: Term):
-    """Exact expansion of a finite term, as a `finite_trees.RootedFiniteTree`."""
+    """Exact expansion of a finite term, as a `finite_trees.RootedFiniteTree`:
+    its cut at its height, which hides nothing, since a finite term has no
+    `*w` arm and no recurring supseq member with a child."""
     h = height(t)
     if h == INF or vertex_count(t) == INF:
         raise TermError("term is infinite")
-    tr = truncate(_finite_form(t), int(h))
-    return tr.rooted
-
-
-def _finite_form(t: Term) -> Term:
-    """A finite term with each supseq replaced by the sup of its components
-    that are not single vertices, finitely many: the same tree, which a cut
-    then copies whole however late a patch puts them in the sequence."""
-    return fold(t, _finite_inputs, _finite_node, {})
-
-
-def _finite_inputs(t):
-    if isinstance(t, Succ):
-        return [t.child]
-    if isinstance(t, Sup):
-        return [a for a, _ in t.arms]
-    if isinstance(t, SupSeq):
-        # t is finite, so its recurring components are single vertices
-        return [c for _, c in components(t.seq)[0] if not c.single]
-    return []
-
-
-def _finite_node(t, kids, form):
-    if isinstance(t, Succ):
-        return Succ(form[t.child])
-    if isinstance(t, Sup):
-        return Sup([(form[a], m) for a, m in t.arms])
-    if isinstance(t, SupSeq):
-        return Sup([(form[c], 1) for c in kids] or [(BOX, 1)])
-    return t
+    return truncate(t, int(h)).rooted
 
 
 def truncation_dot(tr: Truncation) -> str:

@@ -51,6 +51,11 @@ def embeds(t: Term, s: Term, horizon: int = 16, _memo=None) -> str:
     spined-sum level four (`embeds`, `shift_embeds`, a shift table's
     `walk` and `read`).
 
+    Every other pair packs root children (`terms.root_children`), listed
+    exactly for every term but a supseq whose generated stages have a
+    child: such a source is unknown, and of such a target only the first
+    `horizon` members are read (`_capacities`), where only a yes is sound.
+
     Its callers need the rooted relation: `_pack`'s child pairs, the
     shift tables' component pairs, `_stage_embeds`, and
     `ends._regular_tail` through `equimorphic`.  Between two wsum terms
@@ -76,22 +81,23 @@ def embeds(t: Term, s: Term, horizon: int = 16, _memo=None) -> str:
         # generic packing of root children; exact on finite terms, where a
         # root-to-root embedding is an injective matching of children into
         # children they embed in, decided once per pair of subterms by the memo
-        dem = None if isinstance(t, SupSeq) else root_children(t)
+        dem = root_children(t)
         caps = None if dem is None else _capacities(s, horizon)
         if caps is not None:
             out = _pack(dem, caps, horizon, _memo)
-            if out != YES and isinstance(s, SupSeq):
+            if out != YES and isinstance(s, SupSeq) and s.arms is None:
                 out = UNKNOWN
     _memo[key] = out
     return out
 
 
 def _capacities(s, horizon):
-    """The root children of s, or None when they are not listed; of a
-    supseq, those of its first `horizon` members, where only a yes is
-    sound."""
-    if not isinstance(s, SupSeq):
-        return root_children(s)
+    """The root children of s; of a supseq whose generated stages have a
+    child, those of its first `horizon` members, where only a yes is sound;
+    None when they are not listed."""
+    caps = root_children(s)
+    if caps is not None or not isinstance(s, SupSeq):
+        return caps
     caps = []
     for j in range(horizon):
         sub = root_children(stage(s.seq, j))

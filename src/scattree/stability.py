@@ -31,7 +31,6 @@ from .terms import (
     UNKNOWN,
     YES,
     Succ,
-    Sup,
     Term,
     WSum,
     components,
@@ -167,12 +166,8 @@ def _deepest_child(t: Term):
     h = t.height
     before = other = 0
     while not isinstance(t, Succ):
-        if isinstance(t, Sup):
-            arms = t.arms
-        else:  # a finite supseq: its components that occur once hang at the root
-            arms = [(c, 1) for _, c in components(t.seq)[0]]
         deep = None
-        for a, m in arms:
+        for a, m in t.arms:  # a sup's, or a finite supseq's
             if a.single:
                 continue
             if deep is None and m == 1 and a.height == h:

@@ -151,35 +151,41 @@ class Sup(Term):
         arms = tuple(arms)
         if not arms:
             raise TermError("sup needs at least one arm")
-        # the hash and the measures in one pass over the arms: parsing
-        # builds many small sups, so construction is hot
-        keys = []
-        single = rayless = True
-        height, size, degree = 0, 1, 0
-        for t, m in arms:
-            if type(m) is not int or m < 1:  # a positive int passes one test
-                if m != OMEGA_MULT and (not isinstance(m, int) or m < 1):
-                    raise TermError("arm multiplicity must be a positive integer or w")
-            keys.append((t._hash, m))
-            if t.single:
-                continue  # the shared root itself: rayless and of height 0
-            single = False
-            if not t.rayless:
-                rayless = False
-            if t.height > height:
-                height = t.height
-            if m == OMEGA_MULT:
-                size, degree = INF, OMEGA_MULT
-            else:
-                size += m * (t.size - 1)
-                if degree != OMEGA_MULT:
-                    degree = OMEGA_MULT if t.degree == OMEGA_MULT else degree + m * t.degree
         self.arms = arms
-        self._hash = hash(("sup", tuple(keys)))
-        self.single, self.rayless, self.height, self.size, self.degree = single, rayless, height, size, degree
+        self._hash = hash(("sup", _fold_arms(self, arms)))
 
     def _key(self):
         return self.arms
+
+
+def _fold_arms(node, arms):
+    """Set node's measure fields to those of a root with the (term,
+    multiplicity) arms identified at it, and return the arms' hash keys,
+    all in one pass over the arms: parsing builds many small sups, so
+    construction is hot."""
+    keys = []
+    single = rayless = True
+    height, size, degree = 0, 1, 0
+    for t, m in arms:
+        if type(m) is not int or m < 1:  # a positive int passes one test
+            if m != OMEGA_MULT and (not isinstance(m, int) or m < 1):
+                raise TermError("arm multiplicity must be a positive integer or w")
+        keys.append((t._hash, m))
+        if t.single:
+            continue  # the shared root itself: rayless and of height 0
+        single = False
+        if not t.rayless:
+            rayless = False
+        if t.height > height:
+            height = t.height
+        if m == OMEGA_MULT:
+            size, degree = INF, OMEGA_MULT
+        else:
+            size += m * (t.size - 1)
+            if degree != OMEGA_MULT:
+                degree = OMEGA_MULT if t.degree == OMEGA_MULT else degree + m * t.degree
+    node.single, node.rayless, node.height, node.size, node.degree = single, rayless, height, size, degree
+    return tuple(keys)
 
 
 class WSum(Term):
@@ -198,33 +204,37 @@ class WSum(Term):
 
 
 class SupSeq(Term):
-    __slots__ = ("seq", "single", "rayless", "size", "height", "degree")
+    """The roots of all components identified.  When no generated stage has
+    a child, the supseq is *regular*: it is the tree sup(o1, ..., ok,
+    c1*w, ..., cL*w) of its components that are not single vertices, o
+    those that occur once (prefix entries and patches, in position order)
+    and c the cycle members, and `arms` holds those (term, multiplicity)
+    pairs, measured as a sup's.  Otherwise `arms` is None."""
+
+    __slots__ = ("seq", "arms", "single", "rayless", "size", "height", "degree")
 
     def __init__(self, seq):
         self.seq = seq
         self._hash = hash(("supseq", seq._hash))
         once, recurring, gen = components(seq)
-        once = [t for _, t in once]
-        # the components that recur forever; a Hole measures as a box, so a
-        # context shape measures as context.subst(BOX), and with the base it
-        # stands for every generated stage
-        again = list(recurring) if gen is None else [*recurring, gen.base, gen.context.shape]
-        self.single = all(t.single for t in once + again)
-        self.rayless = all(t.rayless for t in once + again)
+        # a Hole measures as a box, so a context shape measures as
+        # context.subst(BOX), and with the base it stands for every stage
+        if gen is None or gen.base.single and gen.context.shape.single:
+            self.arms = arms = tuple(
+                [(t, 1) for _, t in once if not t.single]
+                + [(t, OMEGA_MULT) for t in recurring if not t.single]
+            )
+            _fold_arms(self, arms)
+            return
+        self.arms = None
+        parts = [t for _, t in once] + [*recurring, gen.base, gen.context.shape]
+        self.single = False
+        self.rayless = all(t.rayless for t in parts)
         # height(C[t]) = max(height(t), height(C[box])) when the hole sits at
         # depth 0, so no stage outgrows the base and the shape; a hole at
         # depth d >= 1 puts stage n at least n * d high
-        if gen is not None and gen.context.hole_depth():
-            self.height = INF
-        else:
-            self.height = max(t.height for t in once + again)
-        if all(t.single for t in again):
-            # only the finitely many other components hang below the root
-            self.size = 1 + sum(t.size - 1 for t in once)
-            degrees = [t.degree for t in once]
-            self.degree = OMEGA_MULT if OMEGA_MULT in degrees else sum(degrees)
-        else:
-            self.size, self.degree = INF, OMEGA_MULT  # a root neighbour recurs forever
+        self.height = INF if gen.context.hole_depth() else max(t.height for t in parts)
+        self.size, self.degree = INF, OMEGA_MULT  # a root neighbour recurs forever
 
     def _key(self):
         return (self.seq,)
@@ -911,7 +921,7 @@ def _branch_parts(t):
         return []  # a box, or a supseq of boxes, branches nowhere
     if isinstance(t, Succ):
         return [(0, [t.child])]
-    if isinstance(t, Sup):
+    if isinstance(t, (Sup, SupSeq)):
         kids = root_children(t)
         if kids is None:
             return None
@@ -936,29 +946,16 @@ def _branch_parts(t):
             kids = root_children(x)
             out.append((len(out) + 1, kids and [c for c, _ in kids]))
         return out
-    if isinstance(t, SupSeq):
-        once, recurring, gen = components(t.seq)
-        if gen is not None:
-            return None
-        kids = []
-        for x in [*(c for _, c in once), *recurring]:
-            if x.single:
-                continue
-            sub = root_children(x)
-            if sub is None:
-                return None
-            kids.extend(c for c, _ in sub)
-        rd = t.degree
-        return [(1 if (rd == "w" or rd >= 2) else 0, kids)]
     raise TermError(f"bad term {t!r}")
 
 
 def root_children(t: Term):
     """Child subtrees of the root as (term, multiplicity) pairs, flattening
-    root identifications; a single-vertex subterm of any class adds none.
-    None for a supseq with a child (infinitely many contributions).
-    The identified roots are read from an explicit stack, so a sup nest of
-    any depth is flattened without Python recursion."""
+    root identifications, a regular supseq's `arms` as a sup's; a
+    single-vertex subterm of any class adds none.  None only for a supseq
+    whose generated stages have a child.  The identified roots are read
+    from an explicit stack, so a sup nest of any depth is flattened without
+    Python recursion."""
     # every embeds pair reads this, so it dispatches on the exact class
     if type(t) is Succ:
         return [(t.child, 1)]
@@ -969,21 +966,22 @@ def root_children(t: Term):
         cls = type(x)
         if cls is Succ:
             out.append((x.child, m))
-        elif cls is Sup:
+        elif cls is Sup or cls is SupSeq:
+            arms = x.arms
+            if arms is None:
+                return None
             if m == 1:
-                stack.extend(reversed(x.arms))
+                stack.extend(reversed(arms))
             else:
-                for a, ma in reversed(x.arms):
+                for a, ma in reversed(arms):
                     stack.append((a, OMEGA_MULT if OMEGA_MULT in (m, ma) else m * ma))
         elif x.single:
-            pass  # a box, or a supseq of boxes: no vertex below the root
+            pass  # a box: no vertex below the root
         elif cls is WSum:
             # component 0's root is the spine vertex: its children, then
             # the next spine vertex
             stack.append((Succ(WSum(shift_seq(x.seq, 1))), m))
             stack.append((stage(x.seq, 0), m))
-        elif cls is SupSeq:
-            return None
         else:
             raise TermError(f"bad term {x!r}")
     return out

@@ -558,8 +558,8 @@ def almost_disjoint_family(count: int, length: int = 8):
     return [tuple(x + s for x in base) for s in range(count)]
 
 
-# omega multiplicities and supseq families are cut to this many copies in
-# the verification cuts
+# the verification codes count each class of a vertex's children at most
+# this many times
 CUT_WIDTH = 6
 # verify_twins follows patches this deep into the spine and no deeper: a
 # deeper patch leaves its member's checks open instead of growing the work
@@ -575,11 +575,11 @@ def verify_twins(t: Term, twins, horizon: int = 12) -> dict:
     The cut depth is derived from the family: 20, or two past the deepest
     patched spine position of any member (the reach, at most MAX_REACH),
     whichever is larger, so every patch up to MAX_REACH lies inside the
-    cut.  A cut keeps everything within that depth of
-    the root (omega multiplicities and supseq families cut to CUT_WIDTH
-    copies), so a code difference exhibits a concrete finite neighbourhood
-    on which the trees disagree.  Codes are symbolic (``CutCoder``) and
-    share one intern table, so they are comparable only within one result.
+    cut.  A code is that of the cut within that depth of the root, each
+    class of a vertex's children counted at most CUT_WIDTH times, so a code
+    difference exhibits a concrete finite neighbourhood on which the trees
+    disagree.  Codes are symbolic (``CutCoder``) and share one intern
+    table, so they are comparable only within one result.
     The mutual checks search spine shifts up to `horizon` past the same
     reach, since the n-th twin_n member needs a shift of at least 3n + 2;
     they share one memo.

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,6 @@ import scattree
 from scattree import embedding
 from scattree.cuts import CutCoder, truncate
 from scattree.embedding import shift_embeds
-from scattree.finite_trees import canonical_code
 from scattree.stability import CONTINUUM, ONE
 from scattree.terms import (
     BOX,
@@ -418,9 +418,27 @@ _HOLE_CONTEXTS = (
 )
 
 
+def _capped_code(cut, width):
+    """The AHU string of a materialised cut whose vertices each keep at most
+    `width` children of each class, classes taken after the cap below."""
+    tree, parent = cut.tree, {cut.root: None}
+    order = [cut.root]
+    for u in order:
+        for v in tree.adj[u]:
+            if v != parent[u]:
+                parent[v] = u
+                order.append(v)
+    code = {}
+    for u in reversed(order):
+        counts = Counter(code[v] for v in tree.adj[u] if v != parent[u])
+        code[u] = "(" + "".join(c * min(m, width) for c, m in sorted(counts.items())) + ")"
+    return code[cut.root]
+
+
 def test_cut_codes_match_canonical_codes_of_truncations():
     # every cut up to 3000 vertices: two symbolic codes are equal exactly
-    # when the materialised cuts have equal AHU strings
+    # when the materialised cuts, each class of children capped at the
+    # width, have equal AHU strings
     for width in (1, 2, 3):
         coder = CutCoder(width)
         pairs = set()
@@ -429,9 +447,24 @@ def test_cut_codes_match_canonical_codes_of_truncations():
                 cut = truncate(t, depth, width)
                 if cut.tree.n > 3000:
                     break
-                pairs.add((coder.code(t, depth), canonical_code(cut.rooted)))
+                pairs.add((coder.code(t, depth), _capped_code(cut, width)))
         assert len({s for s, _ in pairs}) == len(pairs) == len({c for _, c in pairs})
         assert len(pairs) > 100
+
+
+def test_cut_codes_are_isomorphism_invariants():
+    # both trees are a root with w copies of succ(box), yet the plain cuts
+    # hang 1 + width and width copies: a family whose members are all
+    # isomorphic to the original must not verify
+    coder = CutCoder(3)
+    a, b = parse_term("sup(succ(box),succ(box)*w)"), parse_term("sup(succ(box)*w)")
+    for depth in range(7):
+        assert coder.code(a, depth) == coder.code(b, depth)
+    comb = parse_term("wsum([](sup(succ(box),succ(box)*w),sup(succ(box)*w)))")
+    family = [twin_from_subset(comb, s) for s in _cli_seed_sets(1, 3)]
+    check = verify_twins(comb, family)
+    assert check["mutual"] == [YES] * 3
+    assert not check["codes_distinct"] and not check["ok"]
 
 
 _PRINT_CODES = """
@@ -448,9 +481,9 @@ print([CutCoder(6).code(t, 40) for t in builtins().values()])
 # the ids _PRINT_CODES prints under every hash seed; the benchmark's twins
 # digest hashes such ids, so a change of cut keys that renumbers them fails
 _PINNED_CODES = """\
-[0, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 0, 1, 7, 9, 12, 15, 0, 1, 17, 19, 23, 26, 0, 6, 27, 28, 31, 34, 0, 16, 35, 38, 40, 44]
+[0, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 0, 1, 7, 9, 12, 15, 0, 1, 17, 19, 22, 25, 0, 6, 26, 27, 30, 33, 0, 16, 34, 36, 38, 42]
 ['20', '25', '33', '40']
-[0, 40, 40, 59, 272, 59]
+[0, 40, 40, 40, 272, 59]
 """
 
 
