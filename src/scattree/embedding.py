@@ -462,7 +462,15 @@ def _stage_embeds(p, i, q, j, horizon, memo):
     """embeds(p[i], q[j]) with shortcuts for same-generator stages: stages
     nest as deep as their index, and packing recurses once per term level,
     so comparing two deep stages directly is slow and can exhaust the
-    Python stack."""
+    Python stack.
+
+    Stage ii into stage jj > ii is first asked as stage 0 into stage 1, a
+    question one stage deep however deep ii and jj sit.  A context
+    preserves root-to-root embeddings (the hole's image is the embedded
+    subtree, the rest maps identically), so stage 0 into stage 1 gives
+    stage k into stage k + 1 for every k, and their composition stage ii
+    into stage jj.  Failing that, stage 0 into stage jj - ii gives stage
+    ii into stage jj by the same argument."""
     a, b = stage(p, i), stage(q, j)
     if a == b:
         return YES
@@ -477,7 +485,10 @@ def _stage_embeds(p, i, q, j, horizon, memo):
         jj = stage_index(q, j)
         if ii is not None and jj is not None:
             if ii < jj:
-                if embeds(gp.base, stage(gq, jj - ii), horizon, memo) == YES:
+                if (
+                    embeds(gp.base, stage(gq, 1), horizon, memo) == YES
+                    or embeds(gp.base, stage(gq, jj - ii), horizon, memo) == YES
+                ):
                     return YES
             elif growth_certificate(gp):
                 return NO

@@ -296,14 +296,16 @@ class Periodic(ComponentSeq):
 
 
 class Generated(ComponentSeq):
-    # _index: stage term -> its least index, filled by `stage_index` alone
-    __slots__ = ("base", "context", "_stages", "_index")
+    # _index: stage term -> its least index, over stages 0.._entered - 1;
+    # both are filled by `stage_index` alone
+    __slots__ = ("base", "context", "_stages", "_index", "_entered")
 
     def __init__(self, base: Term, context: "Context"):
         self.base = base
         self.context = context
         self._stages = [base]
         self._index = {}
+        self._entered = 0
         self.first = base
         self._layout = None  # never filled: the layout would refer to self
         self._hash = hash(("generated", base._hash, context._hash))
@@ -786,7 +788,9 @@ def stage_index(seq: ComponentSeq, n: int):
     is: n at a position no patch overrides, and at a patched one the least
     k <= n + 1 whose stage equals the patch, or None.  A patched position
     costs one lookup in the generator's table of least stage indices,
-    grown to stage n + 1 when needed, and its answer is kept by position."""
+    grown to stage n + 1 when needed, and its answer is kept by position.
+    The generator counts the stages entered: stages may repeat, so the
+    table's size does not tell how far it reaches."""
     if type(seq) is not Patched:
         return n
     t = seq._map.get(n)
@@ -794,10 +798,11 @@ def stage_index(seq: ComponentSeq, n: int):
         return n
     found = seq._stage_index
     if n not in found:
-        index = seq.inner._index
-        # stages 0..len(index) - 1 are entered: each adds one entry at most
-        for k in range(len(index), n + 2):
-            index.setdefault(stage(seq.inner, k), k)
+        gen = seq.inner
+        index = gen._index
+        for k in range(gen._entered, n + 2):
+            index.setdefault(stage(gen, k), k)
+        gen._entered = max(gen._entered, n + 2)
         k = index.get(t, n + 2)
         found[n] = k if k <= n + 1 else None
     return found[n]

@@ -561,9 +561,6 @@ def almost_disjoint_family(count: int, length: int = 8):
 # the verification codes count each class of a vertex's children at most
 # this many times
 CUT_WIDTH = 6
-# verify_twins follows patches this deep into the spine and no deeper: a
-# deeper patch leaves its member's checks open instead of growing the work
-MAX_REACH = 128
 
 
 def verify_twins(t: Term, twins, horizon: int = 12) -> dict:
@@ -573,18 +570,18 @@ def verify_twins(t: Term, twins, horizon: int = 12) -> dict:
     member is not a spined sum.
 
     The cut depth is derived from the family: 20, or two past the deepest
-    patched spine position of any member (the reach, at most MAX_REACH),
-    whichever is larger, so every patch up to MAX_REACH lies inside the
-    cut.  A code is that of the cut within that depth of the root, each
-    class of a vertex's children counted at most CUT_WIDTH times, so a code
-    difference exhibits a concrete finite neighbourhood on which the trees
-    disagree.  Codes are symbolic (``CutCoder``) and share one intern
-    table, so they are comparable only within one result.
+    patched spine position of any member (the reach), whichever is larger,
+    so every patch lies inside the cut.  A code is that of the cut within
+    that depth of the root, each class of a vertex's children counted at
+    most CUT_WIDTH times, so a code difference exhibits a concrete finite
+    neighbourhood on which the trees disagree.  Codes are symbolic
+    (``CutCoder``) and share one intern table, so they are comparable only
+    within one result.
     The mutual checks search spine shifts up to `horizon` past the same
     reach, since the n-th twin_n member needs a shift of at least 3n + 2;
-    they share one memo.
-    Members patched past MAX_REACH may come out `unknown` or share a code:
-    the family is then reported unverified, never wrongly verified.
+    they share one memo.  Neither the reach nor the cut depth is capped:
+    both follow the deepest patch.  A check left `unknown`, or a code
+    shared, reports the family unverified, never wrongly verified.
     """
     from .cuts import CutCoder
     from .embedding import shift_embeds
@@ -593,7 +590,7 @@ def verify_twins(t: Term, twins, horizon: int = 12) -> dict:
     if len(items) < 2 or not all(isinstance(x, WSum) for x in items):
         raise TermError("twin verification needs a nonempty family of spined sums")
     patched = [x.seq.last_patch() for x in items]
-    reach = min(max((n + 2 for n in patched if n >= 0), default=0), MAX_REACH)
+    reach = max((n + 2 for n in patched if n >= 0), default=0)
     coder = CutCoder(CUT_WIDTH)
     depth = max(20, reach)
     codes = [str(coder.code(x, depth)) for x in items]

@@ -588,3 +588,24 @@ def test_almost_rigid_at_the_repeat_bound():
     for horizon, rigid, twins in ((4, UNKNOWN, UNKNOWN), (5, YES, "one"), (8, YES, "one")):
         assert shift_report(t, horizon).almost_rigid == rigid, horizon
         assert classify(t, horizon).twins == twins, horizon
+
+
+def test_a_generated_tail_that_fails_at_its_transient_is_scanned_on():
+    # a fuzz spine (seed 5) with no patch, so its transient is 0: stage 0
+    # does not embed in stage 1, stage n does in stage n + 1 for n >= 1, and
+    # every later shift holds from 0.  Only the scan past the transient
+    # names shift 1's offset.
+    t = parse_term(
+        "wsum(gen(succ(sup(box,succ(box)*4));"
+        "sup(sup(sup(box*3,box*9),wsum([](box,box))*8)*3,wsum([](succ(_))))))"
+    )
+    seq, memo = t.seq, {}
+    report = shift_report(t, 8)
+    assert report.periods == (2, 3, 4, 5, 6, 7, 8)
+    for k in range(1, 9):
+        pairs = [embedding._stage_embeds(seq, n, seq, n + k, 16, memo) for n in range(4)]
+        holds_from = pairs.index(YES)
+        assert pairs[holds_from:] == [YES] * (4 - holds_from), k
+        assert report.eventual[k] == holds_from, k
+    assert shift_walk(seq, seq, 1) == (NO, None)
+    assert shift_walk(seq, seq, 1, reach=1) == (NO, 1)

@@ -4,6 +4,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scattree import terms
 from scattree.cuts import CutCoder, expand_finite, truncate, truncation_dot
 from scattree.embedding import embeds, equimorphic, shift_embeds
 from scattree.finite_trees import canonical_code, rooted_embeds
@@ -140,6 +141,18 @@ def test_stage_index_names_the_least_stage_a_patch_copies():
     # asks: stage 3 lies past 1 + 1 there, and the answer is still None
     assert [stage_index(seq, n) for n in (4, 1, 2, 3, 6)] == [0, None, 3, 3, None]
     assert [stage_index(gen, n) for n in (0, 5)] == [0, 5]
+
+
+def test_stage_index_enters_each_stage_once_when_stages_repeat(monkeypatch):
+    # every stage of gen(box;_) is box, so the table of least stage indices
+    # keeps one entry however many stages it has entered; stages 0 to one
+    # past the last patch are each entered once, not once per position
+    positions = range(1, 2000, 2)
+    seq = parse_term("wsum(patch(gen(box;_);" + ",".join(f"{n}:box" for n in positions) + "))").seq
+    calls, entered = [], terms.stage
+    monkeypatch.setattr(terms, "stage", lambda s, n: calls.append(n) or entered(s, n))
+    assert [stage_index(seq, n) for n in positions] == [0] * len(positions)
+    assert len(calls) <= positions[-1] + 2
 
 
 def test_stage_generated_applies_context():

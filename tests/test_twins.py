@@ -19,7 +19,6 @@ from scattree.terms import (
     Succ,
     Term,
     TermError,
-    UNKNOWN,
     YES,
     builtins,
     parse_term,
@@ -29,7 +28,6 @@ from scattree.terms import (
     tri_and,
 )
 from scattree.twins import (
-    MAX_REACH,
     Poset,
     almost_disjoint_family,
     analyze_lpath,
@@ -632,7 +630,7 @@ def test_twenty_member_families_verify(name, monkeypatch):
     # the mutual checks are shift_embeds both ways: the root-to-root
     # relation is asked only about components, never about a member
     assert touched and not any(touched)
-    h = 12 + min(max(x.seq.last_patch() for x in family) + 2, MAX_REACH)
+    h = 12 + max(x.seq.last_patch() for x in family) + 2
     for x in family:
         assert shift_embeds(t, x, h) == shift_embeds(x, t, h) == YES
 
@@ -667,12 +665,25 @@ def test_sup_nests_code_without_recursion():
     assert report["ok"]
 
 
-def test_member_patched_past_the_reach_cap_gets_a_verdict():
-    # twin_n(ex1, 300) is pruned up to spine position 901; verify_twins
-    # follows patches only MAX_REACH deep, so the shift it needs stays
-    # open, but the check returns instead of recursing 900 levels
-    ex1 = builtins()["ex1"]
-    report = verify_twins(ex1, [twin_n(ex1, 300)])
-    assert report["mutual"] == [UNKNOWN]
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
+def test_member_patched_900_deep_verifies(name):
+    # twin_n(t, 300) is pruned up to spine position 900 or beyond: the
+    # shift search and the cut follow it all the way, and a deep stage pair
+    # is asked one stage deep, so no check recurses 900 levels
+    assert sys.getrecursionlimit() <= 1000
+    t = builtins()[name]
+    report = verify_twins(t, [twin_n(t, 300)])
+    assert report["mutual"] == [YES]
+    assert report["ok"]
+
+
+def test_two_hundred_member_periodic_family_verifies():
+    # the 200th member is patched up to spine position 1201: its shift
+    # and its cut reach that deep
+    t = parse_term("wsum([](succ(box),box))")
+    family = [twin_n(t, j) for j in range(1, 201)]
+    assert max(x.seq.last_patch() for x in family) == 1201
+    report = verify_twins(t, family)
+    assert report["mutual"] == [YES] * 200
     assert report["codes_distinct"]
-    assert not report["ok"]
+    assert report["ok"]
