@@ -45,12 +45,9 @@ def _is_lpath(text: str) -> bool:
 
 
 def _rank_payload(t):
-    from .ranks import RankUndecided, rank_summary
+    from .ranks import rank_summary
 
-    try:
-        return json.loads(rank_summary(t).to_json()), False
-    except RankUndecided as e:
-        return {"undecided": str(e)}, True
+    return json.loads(rank_summary(t).to_json())
 
 
 def _cmd_examples(args):
@@ -60,14 +57,10 @@ def _cmd_examples(args):
     rows = []
     undecided = False
     for name, t in builtins().items():
-        rank, und = _rank_payload(t)
-        cert = None
-        if not und:
-            c = classify(t, args.horizon)
-            cert = json.loads(c.to_json())
-            und = c.twins == "unknown"  # as `analyze` counts it
-        undecided = undecided or und
-        rows.append({"name": name, "term": format_term(t), "rank": rank, "stability": cert})
+        c = classify(t, args.horizon)
+        undecided = undecided or c.twins == "unknown"  # as `analyze` counts it
+        cert = json.loads(c.to_json())
+        rows.append({"name": name, "term": format_term(t), "rank": _rank_payload(t), "stability": cert})
     return {"examples": rows}, undecided
 
 
@@ -75,8 +68,7 @@ def _cmd_rank(args):
     from .terms import format_term, resolve_name
 
     t = resolve_name(args.term)
-    rank, undecided = _rank_payload(t)
-    return {"term": format_term(t), "rank": rank}, undecided
+    return {"term": format_term(t), "rank": _rank_payload(t)}, False
 
 
 def _cmd_analyze(args):
@@ -89,19 +81,14 @@ def _cmd_analyze(args):
     from .terms import WSum, format_term, resolve_name
 
     t = resolve_name(args.term)
-    payload = {"term": format_term(t)}
-    rank, undecided = _rank_payload(t)
-    payload["rank"] = rank
+    payload = {"term": format_term(t), "rank": _rank_payload(t)}
     if isinstance(t, WSum):
         from .ends import shift_report
 
         payload["shift"] = json.loads(shift_report(t, args.horizon).to_json())
-    if not undecided:
-        cert = classify(t, args.horizon)
-        payload["stability"] = json.loads(cert.to_json())
-        if cert.twins == "unknown":
-            undecided = True
-    return payload, undecided
+    cert = classify(t, args.horizon)
+    payload["stability"] = json.loads(cert.to_json())
+    return payload, cert.twins == "unknown"
 
 
 def _cmd_twins(args):

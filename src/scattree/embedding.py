@@ -498,18 +498,21 @@ def _stage_embeds(p, i, q, j, horizon, memo):
 def growth_certificate(gen: Generated):
     """Why stage m never embeds in stage n < m, as a reason string, or None:
     an embedding-monotone measure strictly increases along all stages, so
-    the stages are also pairwise non-equimorphic."""
+    the stages are also pairwise non-equimorphic.  Stages 0 and 1 settle
+    both measures.
+
+    |C[t]| is affine in |t| with slope >= 1, so one strict step propagates
+    forever.  height(C[t]) = max(hd + height(t), c) for the hole depth hd
+    and a c fixed by the context.  h1 = hd + h0 says hd + h0 >= c; with
+    hd >= 1, hd + h1 > hd + h0 >= c, so h2 = hd + h1, and by induction
+    every later stage adds hd too."""
     v0, v1 = stage(gen, 0).size, stage(gen, 1).size
     if INF not in (v0, v1) and v1 > v0:
-        # |C[t]| is affine in |t| with slope >= 1, so one strict step
-        # propagates forever
         return "stage vertex counts grow strictly (affine recurrence)"
     hd = gen.context.hole_depth()
     if hd >= 1:
-        h0, h1, h2 = (stage(gen, j).height for j in range(3))
-        if INF not in (h0, h1, h2) and h1 == hd + h0 and h2 == hd + h1:
-            # height(C[t]) = max(hd + height(t), c); once the hole branch
-            # dominates it dominates forever and adds hd >= 1 each stage
+        h0, h1 = stage(gen, 0).height, stage(gen, 1).height
+        if INF not in (h0, h1) and h1 == hd + h0:
             return "stage heights grow strictly (hole at positive depth)"
     return None
 

@@ -219,7 +219,7 @@ def _shift_report(seq, horizon):
     rigid = _almost_rigid(seq, yes, unk, horizon)
     regular, reason = regular_components(seq)
     notes.append(f"regular: {reason}")
-    origin_index, origin_error = _origin(seq, regular, eventual, memo, reach, first)
+    origin_index, origin_error = _origin(seq, regular, eventual, memo, reach)
     return ShiftReport(
         tuple(yes), d, MappingProxyType(eventual), rigid, regular, origin_index, origin_error, tuple(notes)
     )
@@ -234,11 +234,14 @@ def _repeat_from(seq):
     return max(settled_from(seq), 1) + len(recurring), len(recurring)
 
 
-def _origin(seq, regular, eventual, memo, reach, first):
+def _origin(seq, regular, eventual, memo, reach):
     """Least spine index u from which the component sequence is equimorphy
-    periodic: component y equimorphic to component y+d for all y >= u.  A
-    candidate d >= first repeats d - L (see `_shift_report`): it would
-    read again the pairs that d - L, tried before it, read."""
+    periodic: component y equimorphic to component y+d for all y >= u.  No
+    candidate the loop reaches repeats an earlier shift (`_repeat_from`): a
+    generated tail repeats none, and otherwise shift L (the cycle length)
+    pairs each cycle member with itself both ways from S = settled_from(seq)
+    on, so within the horizon it is a candidate where the loop returns at
+    the latest, below the first repeating shift max(S, 1) + L."""
     if regular == NO:
         return None, "components fall into infinitely many equimorphy classes"
     if regular == UNKNOWN:
@@ -246,8 +249,6 @@ def _origin(seq, regular, eventual, memo, reach, first):
     if not eventual:
         return None, "no eventual period found within the horizon"
     for d in sorted(eventual):
-        if d >= first:
-            break
         u = shift_walk(seq, seq, d, memo=memo, both_ways=True, reach=reach)[1]
         if u is not None:
             return u, None

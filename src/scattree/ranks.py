@@ -10,11 +10,11 @@ own end on top of the component union.  Ranks combine accordingly:
   supremum of levels realized by infinitely many components; the whole
   space then has rank max(sigma + 1, finitely-occurring component ranks).
 
-For generated component sequences the component ranks obey an affine
-recurrence r(n+1) = max(r(n), c) + delta, where delta is the number of
-cycle positions of spined sums on the context's path to its hole.  The
-ranks of stages 0..3 are computed directly, checked against the recurrence,
-and extrapolated; sequences that do not fit raise RankUndecided.
+For a generated component sequence, stage n >= 1 has rank
+r(1) + (n - 1) * delta, where delta is the number of cycle positions of
+spined sums on the context's path to its hole (`_tail_summary`).  So a
+generated tail is read off stage 1 alone: its summary when delta is 0,
+else the limit its stage ranks grow to.
 """
 
 from __future__ import annotations
@@ -121,26 +121,22 @@ def rank_summary(t: Term) -> RankSummary:
 
 
 def _rank_inputs(x):
-    """The nodes whose summaries x's summary is made from, rayless terms
-    left out: subterms, and for a generated tail (a node of its own) its
-    stages 0..3.  The tail is the only node that is not a term."""
-    if not isinstance(x, Term):
-        return [t for t in (stage(x, n) for n in range(4)) if not t.rayless]
+    """The terms whose summaries x's summary is made from, rayless terms
+    left out: subterms, and for a generated tail its stage 1
+    (`_tail_summary`)."""
     if isinstance(x, Succ):
         return [x.child]  # x has ends, so its child has
     if isinstance(x, Sup):
         return [a for a, _ in x.arms if not a.rayless]
     once, recurring, gen = components(x.seq)
-    kids = [c for c in recurring if not c.rayless]
+    kids = list(recurring)
     if gen is not None:
-        kids.append(gen)
-    kids += [c for _, c in once if not c.rayless]
-    return kids
+        kids.append(stage(gen, 1))
+    kids += [c for _, c in once]
+    return [c for c in kids if not c.rayless]
 
 
 def _rank_of(x, _, memo):
-    if not isinstance(x, Term):  # a generated tail
-        return _fit_recurrence(x, memo)
     if isinstance(x, Succ):
         return memo[x.child]
     if isinstance(x, Sup):
@@ -153,7 +149,7 @@ def _rank_of(x, _, memo):
     # ends sit at levels stage 1 also reaches.
     sigma, many = ZERO, False
     if gen is not None:
-        s = memo[gen]
+        s = _tail_summary(gen, memo)
         sigma, many = s.space_rank, s.top_ends != 0
     for c in recurring:
         if not c.rayless:
@@ -176,63 +172,34 @@ def _rank_of(x, _, memo):
     return RankSummary(rank, top, top == 0)
 
 
-def _fit_recurrence(seq: Generated, memo):
-    """Check stage ranks 0..3 against r(n+1) = max(r(n), c) + delta and
-    extrapolate: the summary of the eventual stages when delta is 0, else
-    the summary of the limit the stage ranks grow to.
+def _tail_summary(seq: Generated, memo):
+    """The summary of the eventual stages of a generated tail: stage 1's
+    when delta is 0, else that of the limit the stage ranks grow to.
 
     delta counts the wsum cycle positions on the context's hole path.  Each
     step on that path maps the rank x of what lies below it to max(x, a)
-    (a sup arm, a prefix position or a succ) or to max(x, a) + 1 (a cycle
+    (a sup arm, a prefix position or a succ) or to max(x + 1, a) (a cycle
     position: the spine end sits one above the recurring ranks), with a
     fixed by the context.  Successor distributes over max, so
-    rank(C[t]) = max(rank(t) + delta, K) for a K fixed by the context, and
-    once one stage adds delta, every later stage does.  With c = K - delta
-    this is the recurrence above; it is refused when K = r(1) lies above
-    r(0) + delta and r(1) - delta is undefined."""
-    delta = seq.context.hole_wsum_cycles()
-    summaries = [_NO_ENDS if t.rayless else memo[t] for t in (stage(seq, n) for n in range(4))]
-    r = [s.space_rank for s in summaries]
-    if delta == 0:
-        if not (r[1] == r[2] == r[3] and r[1] >= r[0]):
-            raise RankUndecided(
-                "undecided sequence: stage ranks "
-                + ", ".join(format_ordinal(x) for x in r)
-                + " do not stabilize"
-            )
-        return summaries[1]
-    c = ZERO
-    if r[1] > _plus(r[0], delta):
-        c = r[1]  # K = r(1): c is r(1) - delta
-        for _ in range(delta):
-            if not c.is_successor():
-                raise RankUndecided(
-                    "undecided sequence: stage rank jumps to the limit "
-                    + format_ordinal(r[1])
-                )
-            c = c.pred()
-    fits = (
-        r[1] == _plus(_ord_max(r[0], c), delta)
-        and r[2] == _plus(r[1], delta)
-        and r[3] == _plus(r[2], delta)
-    )
-    if not fits:
-        raise RankUndecided(
-            "undecided sequence: stage ranks "
-            + ", ".join(format_ordinal(x) for x in r)
-            + f" do not fit a recurrence that steps by {delta}"
-        )
-    return RankSummary(_limit_of(r[3]), 0, True)  # a limit realized by no single end
+    rank(C[t]) = max(rank(t) + delta, K) for a K fixed by the context.
 
+    K is finite: a context holds no gen and no supseq, so every term in it
+    is built from box (rank 0), succ and sup (the largest rank of their
+    parts) and periodic wsums (one more than that).  So r(1) =
+    max(r(0) + delta, K) is r(0) + delta or a finite K above it, never a
+    limit the ranks jump to, and r(1) >= K.
 
-def _plus(alpha, n):
-    for _ in range(n):
-        alpha = ord_succ(alpha)
-    return alpha
-
-
-def _ord_max(a, b):
-    return a if a >= b else b
+    With delta = 0, every later stage has rank max(r(1), K) = r(1), and so
+    a top end exactly when stage 1 has one: when that rank is a successor.
+    With delta >= 1, r(1) + delta lies above K, so r(2) = r(1) + delta,
+    and by induction r(n) = r(1) + (n - 1) * delta for every n >= 1: the
+    ranks grow to the limit of r(1), realized by no single end.  Stage 0
+    only bounds r(1) from below, and no stage past 1 is read."""
+    first = stage(seq, 1)
+    s = _NO_ENDS if first.rayless else memo[first]
+    if seq.context.hole_wsum_cycles() == 0:
+        return s
+    return RankSummary(_limit_of(s.space_rank), 0, True)
 
 
 def _limit_of(alpha: Ordinal) -> Ordinal:

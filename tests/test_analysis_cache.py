@@ -12,7 +12,7 @@ import pytest
 
 from scattree import ends
 from scattree.ends import shift_report
-from scattree.ranks import RankUndecided, rank_summary
+from scattree.ranks import rank_summary
 from scattree.stability import classify, twin_cardinality
 from scattree.terms import builtins, format_term, parse_term
 from scattree.twins import twin_n, verify_twins
@@ -120,13 +120,6 @@ def _seq(rng, depth):
     return f"patch({_seq(rng, depth)};{patches})"
 
 
-def _rank_json(t):
-    try:
-        return rank_summary(t).to_json()
-    except RankUndecided as e:
-        return f"undecided: {e}"
-
-
 def test_warm_results_match_a_fresh_parse():
     rng = random.Random(5)
     texts = [f"wsum({_seq(rng, 2)})" for _ in range(CORPUS)]
@@ -134,9 +127,8 @@ def test_warm_results_match_a_fresh_parse():
     for text in texts:
         warm = parse_term(text)
         kinds.add(type(warm.seq).__name__)
-        rank = _rank_json(warm)
-        if not rank.startswith("undecided"):
-            classify(warm, 8)
+        rank = rank_summary(warm).to_json()
+        classify(warm, 8)
         assert shift_report(warm, 8).to_json() == shift_report(parse_term(text), 8).to_json(), text
-        assert _rank_json(warm) == rank == _rank_json(parse_term(text)), text
+        assert rank_summary(warm).to_json() == rank == rank_summary(parse_term(text)).to_json(), text
     assert kinds == {"Periodic", "Generated", "Patched"}

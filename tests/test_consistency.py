@@ -1,0 +1,159 @@
+"""Consistency checks that need no exact decider.
+
+Root-to-root embedding is transitive, and shifts along spines compose:
+a chain of two `yes` with a `no` across it proves a wrong verdict without
+saying which one.  Mutually embeddable trees are equimorphic, so they
+share every equimorphism invariant: the twin count and the end-space
+rank.  And two terms that denote the same tree must never get two
+different decided verdicts; at most one side may stay `unknown`.
+
+The corpora come from the parser tests' grammar (`test_parse`): terms
+from `term(rng, 4)` with seed 11, spines `"wsum(" + seq(rng, 4) + ")"`
+with seed 5.
+"""
+
+import json
+import random
+
+import pytest
+
+from scattree.embedding import embeds, shift_embeds, shift_walk
+from scattree.ends import shift_report
+from scattree.ranks import rank_summary
+from scattree.stability import twin_cardinality
+from scattree.terms import NO, UNKNOWN, YES, Patched, Periodic, WSum, format_term, parse_term, stage
+from scattree.twins import twin_n
+
+from test_parse import seq, term
+
+HORIZON = 8
+
+
+def _spines(count):
+    rng = random.Random(5)
+    return ["wsum(" + "".join(seq(rng, 4)) + ")" for _ in range(count)]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_embedding_is_transitive():
+    """Every ordered pair of 150 distinct non-single terms, decided by
+    `embeds` in one memo: no a -> b yes, b -> c yes with a -> c no.  Among
+    the spined sums, shift k from t to u and shift l from u to v (k, l <=
+    3, each a `shift_walk` yes) must not leave shift k + l from t to v a
+    no."""
+    rng = random.Random(11)
+    terms, seen = [], set()
+    while len(terms) < 150:
+        t = parse_term("".join(term(rng, 4)))
+        if not t.single and t not in seen:
+            seen.add(t)
+            terms.append(t)
+    memo = {}
+    into, onto, refuted = [0] * len(terms), [0] * len(terms), []
+    for i, a in enumerate(terms):
+        for j, b in enumerate(terms):
+            verdict = embeds(a, b, 16, memo)
+            if verdict == YES:
+                into[i] |= 1 << j  # the bs that a embeds in
+                onto[j] |= 1 << i  # the as that embed in b
+            elif verdict == NO:
+                refuted.append((i, j))
+    # each no a -> c with the bit set of the bs that chain a -> b -> c
+    chains = [(i, j, into[i] & onto[j]) for i, j in refuted if into[i] & onto[j]]
+    triples = sum(bin(middles).count("1") for _, _, middles in chains)
+
+    spines = [t.seq for t in terms if isinstance(t, WSum)]
+    walks = {(p, q): [shift_walk(p, q, k, memo=memo)[0] for k in range(7)] for p in spines for q in spines}
+    broken = [
+        (p, q, r, k, l)
+        for p in spines
+        for q in spines
+        for r in spines
+        for k in range(4)
+        if walks[p, q][k] == YES
+        for l in range(4)
+        if walks[q, r][l] == YES and walks[p, r][k + l] == NO
+    ]
+    first = [
+        " -> ".join(format_term(terms[x]) for x in (i, (middles & -middles).bit_length() - 1, j))
+        for i, j, middles in chains[:3]
+    ]
+    assert not triples and not broken, (
+        f"{triples} triples a -> b yes, b -> c yes, a -> c no, among them {first}; "
+        f"{len(broken)} shift pairs that do not compose"
+    )
+
+
+def test_mutually_embeddable_twins_keep_the_invariants():
+    """A `twin_n(t, 1)` member, reparsed so that it shares no cache with t,
+    that embeds in t and t in it (`shift_embeds` yes both ways) has t's
+    twin count and end-space rank.  3000 seed-5 spines, of which 1128
+    members qualify."""
+    checked = 0
+    for text in _spines(3000):
+        t = parse_term(text)
+        count = twin_cardinality(t, HORIZON)[0]
+        if count not in ("infinite", "continuum"):
+            continue
+        member = parse_term(format_term(twin_n(t, 1, HORIZON)))
+        if shift_embeds(t, member) == YES and shift_embeds(member, t) == YES:
+            checked += 1
+            assert twin_cardinality(member, HORIZON)[0] == count, text
+            assert rank_summary(member).space_rank == rank_summary(t).space_rank, text
+    assert checked > 1000
+
+
+UNDECIDED = "strict periods undecided at "
+
+
+def _verdicts(t):
+    """The decided-or-unknown verdicts of a spine: rank, each shift 1..8,
+    regular, almost rigid and the twin count."""
+    report = shift_report(t, HORIZON)
+    unknown = next((json.loads(n[len(UNDECIDED):]) for n in report.notes if n.startswith(UNDECIDED)), [])
+    out = {
+        "rank": rank_summary(t).to_json(),
+        "regular": report.regular,
+        "almost_rigid": report.almost_rigid,
+        "twins": twin_cardinality(t, HORIZON)[0],
+    }
+    for k in range(1, HORIZON + 1):
+        out[f"period {k}"] = YES if k in report.periods else UNKNOWN if k in unknown else NO
+    return out
+
+
+def _rewrites(t):
+    """Spines that denote t's tree: one cycle entry unrolled into the
+    prefix, the cycle doubled, and an identity patch at position 0 or 5."""
+    s = t.seq
+    patches = dict(s.patches) if isinstance(s, Patched) else {}
+    inner = s.inner if patches else s
+    out = {f"patch {n}": WSum(Patched(s, {n: stage(s, n)})) for n in (0, 5)}
+    if isinstance(inner, Periodic):
+        c = inner.cycle
+        for name, p in (
+            ("unroll", Periodic(inner.prefix + c[:1], c[1:] + c[:1])),
+            ("double", Periodic(inner.prefix, c + c)),
+        ):
+            out[name] = WSum(Patched(p, patches) if patches else p)
+    return out
+
+
+def test_tree_preserving_rewrites_flip_no_decided_verdict():
+    """On 1000 seed-5 spines, each rewrite, reparsed, keeps every decided
+    verdict or leaves it unknown.  (Rotating the prefix is no such rewrite:
+    `[a,b](c)` and `[b,a](c)` are different trees.)"""
+    flipped, rewritten = [], 0
+    for text in _spines(1000):
+        t = parse_term(text)
+        before = _verdicts(t)
+        for name, r in _rewrites(t).items():
+            rewritten += 1
+            after = _verdicts(parse_term(format_term(r)))
+            flipped += [
+                (text, name, key, v, after[key])
+                for key, v in before.items()
+                if after[key] != v and UNKNOWN not in (v, after[key])
+            ]
+    assert not flipped, flipped[:5]
+    assert rewritten > 2500

@@ -179,6 +179,18 @@ def test_double_step_growth_is_decided():
         assert rs.top_ends == 1 and not rs.limit_flag
 
 
+def test_a_context_that_outranks_stage_zero_sets_the_tail_rank():
+    # stage 1 takes the context's rank K above r(0) + delta: with delta = 0
+    # every later stage keeps it, with delta = 1 every later stage adds 1
+    flat = parse_term("wsum(gen(box;sup(_,wsum([](box)))))")
+    assert [rank_summary(stage(flat.seq, n)).space_rank for n in range(4)] == [ZERO] + [Ordinal.from_int(1)] * 3
+    assert rank_summary(flat) == rank_summary(parse_term("wsum([](wsum([](box))))"))
+    stepped = parse_term("wsum(gen(box;wsum([wsum([](wsum([](box))))](_))))")
+    r = [rank_summary(stage(stepped.seq, n)).space_rank for n in range(4)]
+    assert r == [Ordinal.from_int(k) for k in (0, 2, 3, 4)]
+    assert format_ordinal(rank_summary(stepped).space_rank) == "w+1"
+
+
 def _tails(t):
     """Every generated tail in t, those inside a tail's base included."""
     stack, seen = [t], []
@@ -199,25 +211,29 @@ def _tails(t):
 
 
 def test_generated_tails_step_by_their_hole_cycles():
-    """Oracle for r(n+1) = max(r(n), c) + delta: on 3000 seeded wsum terms,
-    every tail with delta >= 1 has stage ranks 4..7, each computed from the
-    stage's own term, equal to r(3) + delta * (n - 3).  No term is left
-    undecided."""
+    """Oracle for the rank a generated tail reads off stage 1: on 3000
+    seeded wsum terms, every tail's stages 1..7, each ranked from the
+    stage's own term, have stage 1's rank and top-end flag when delta is
+    0, and rank r(1) + (n - 1) * delta when delta >= 1.  No term raises."""
     rng = random.Random(21)
-    stepped = 0
+    flat = stepped = 0
     for _ in range(3000):
         t = parse_term("wsum(" + "".join(seq(rng, rng.randint(1, 5))) + ")")
-        rank_summary(t)  # raises RankUndecided on a tail the rule does not fit
+        rank_summary(t)  # raises nothing: every tail reads off stage 1
         for gen in _tails(t):
             delta = gen.context.hole_wsum_cycles()
-            if delta:
-                stepped += 1
-                r = rank_summary(stage(gen, 3)).space_rank
-                for n in range(4, 8):
-                    for _ in range(delta):
-                        r = ord_succ(r)
-                    assert rank_summary(stage(gen, n)).space_rank == r, (gen, n)
-    assert stepped > 100
+            stepped += delta > 0
+            flat += delta == 0
+            first = rank_summary(stage(gen, 1))
+            r = first.space_rank
+            for n in range(2, 8):
+                s = rank_summary(stage(gen, n))
+                for _ in range(delta):
+                    r = ord_succ(r)
+                assert s.space_rank == r, (gen, n)
+                if not delta:
+                    assert (s.top_ends != 0) == (first.top_ends != 0), (gen, n)
+    assert stepped > 100 and flat > 100
 
 
 # -- limit membership ------------------------------------------------------------
