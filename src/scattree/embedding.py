@@ -497,23 +497,24 @@ def _stage_embeds(p, i, q, j, horizon, memo):
 
 def growth_certificate(gen: Generated):
     """Why stage m never embeds in stage n < m, as a reason string, or None:
-    an embedding-monotone measure strictly increases along all stages, so
-    the stages are also pairwise non-equimorphic.  Stages 0 and 1 settle
-    both measures.
+    an embedding-monotone measure strictly increases along all stages, by a
+    recurrence in the context C, so the stages are also pairwise
+    non-equimorphic.  No stage past 1 is read.
 
-    |C[t]| is affine in |t| with slope >= 1, so one strict step propagates
-    forever.  height(C[t]) = max(hd + height(t), c) for the hole depth hd
-    and a c fixed by the context.  h1 = hd + h0 says hd + h0 >= c; with
-    hd >= 1, hd + h1 > hd + h0 >= c, so h2 = hd + h1, and by induction
-    every later stage adds hd too."""
-    v0, v1 = stage(gen, 0).size, stage(gen, 1).size
-    if INF not in (v0, v1) and v1 > v0:
+    Ranks read no stage: rank(C[t]) = max(rank(t) + delta, K), delta the
+    wsum cycle positions on the hole path (`ranks._tail_summary`), and with
+    delta >= 1, r1 >= r0 + delta > r0 and r1 >= K give r2 = r1 + delta, and
+    so on.  An embedding embeds the end spaces, and a subspace's
+    Cantor-Bendixson rank is at most the space's.  |C[t]| is affine in |t|
+    with slope >= 1, so one strict step propagates forever.  height(C[t]) =
+    max(hd + height(t), c) for the hole depth hd: with hd >= 1 and h1
+    finite, h1 >= hd + h0 > h0 and h1 >= c give h2 = hd + h1, and so on."""
+    if gen.context.hole_wsum_cycles() >= 1:
+        return "stage ranks grow strictly (wsum cycles on the hole path)"
+    if stage(gen, 0).size < stage(gen, 1).size < INF:
         return "stage vertex counts grow strictly (affine recurrence)"
-    hd = gen.context.hole_depth()
-    if hd >= 1:
-        h0, h1 = stage(gen, 0).height, stage(gen, 1).height
-        if INF not in (h0, h1) and h1 == hd + h0:
-            return "stage heights grow strictly (hole at positive depth)"
+    if gen.context.hole_depth() >= 1 and stage(gen, 1).height != INF:
+        return "stage heights grow strictly (hole at positive depth)"
     return None
 
 

@@ -21,14 +21,15 @@ position 10 does.
 
 Nor does the horizon set the cost when no generated tail is left.  Let S
 be the first position past the prefix and the patches (`settled_from`) and
-L the cycle length: from S on, position m holds the cycle member fixed by
-m mod L.  For k >= max(S, 1) + L and every n >= 0, both n + k and
-n + k - L are at least S and congruent mod L, so they hold the same member:
-the walk at k reads exactly the pairs the walk at k - L read.  So shift k
-takes its strict verdict and eventual offset from shift k - L, and the
-origin search skips it.  At most max(S, 1) + L - 1 shifts are walked,
-whatever the horizon, and from that horizon on every shift class has been
-walked, so a spine with no strict period among them is almost rigid.
+p the least period of the cycle under term equality: from S on, position m
+holds a term fixed by m mod p.  For k >= max(S, 1) + p and every n >= 0,
+both n + k and n + k - p are at least S and congruent mod p, so they hold
+equal terms: the walk at k reads exactly the pairs the walk at k - p read.
+So shift k takes its strict verdict and eventual offset from shift k - p,
+and the origin search skips it.  At most max(S, 1) + p - 1 shifts are
+walked, whatever the horizon, and from that horizon on every shift class
+has been walked, so a spine with no strict period among them is almost
+rigid.
 
 The walks of one report share one memo, and with it one shift table
 (`embedding._ShiftTable`) that keeps what the walks decide.  Each tail
@@ -48,8 +49,9 @@ classes.  Certificates:
   one (the context preserves equimorphy in both directions, so the classes
   cycle from there on);
 * a generated sequence is irregular if an embedding-monotone measure
-  (vertex count, height, or branch count under a branching hole) strictly
-  increases stage over stage: the stages are then pairwise non-equimorphic.
+  strictly increases stage over stage by a recurrence the context fixes:
+  end-space rank (wsum cycles on the hole path), vertex count, height
+  (the hole below the root), or branch count from stage 3 on.
 
 Everything is tri-valued; unknown marks the analysis horizon, never a
 guess.
@@ -139,16 +141,24 @@ def _regular_tail(gen):
 
 
 def _branch_growth(seq: Generated):
-    """A reason string when branch counts certify pairwise non-equimorphic
-    stages."""
-    if seq.context.hole_under_sup_branch():
-        b = [branch_count(stage(seq, j)) for j in range(5)]
-        if (
-            all(x is not None and x != INF for x in b[2:])
-            and b[2] < b[3] < b[4]
-            and not is_single_vertex(stage(seq, 2))
-        ):
-            return "branch counts grow strictly (hole under a branching join)"
+    """A reason string when branch counts rise from stage 3 on, so that the
+    stages fall into infinitely many equimorphy classes; stages 2-4 are read.
+
+    In C[t] only t's root changes: it becomes the hole's vertex.  Whether
+    that vertex and C's root branch depends on t through min(deg(t), 2), so
+    b(C[t]) = max(c', b(t) + beta) with c' and beta >= 0 fixed by C and that
+    value, which stage 2 not a single vertex fixes from stage 2 on: with
+    the hole below the root every stage from 1 on has C's root degree, and
+    at the root deg(C[t]) = m * deg(t) + c0 with m >= 1 is 1 for every stage
+    past 2 if deg(stage 2) = 1 (then c0 = 0 and m = 1, as deg(stage 1) >=
+    c0) and else stays >= 2.  So b(n) = max(c', b(n - 1) + beta) for n >= 3,
+    b3 >= c', and b3 < b4 gives beta >= 1: each later stage adds beta.
+    Branch counts are monotone under rooted embedding."""
+    if is_single_vertex(stage(seq, 2)):
+        return None
+    b3, b4 = branch_count(stage(seq, 3)), branch_count(stage(seq, 4))
+    if None not in (b3, b4) and b3 < b4 < INF:
+        return "branch counts grow strictly from stage 3 on"
     return None
 
 
@@ -158,17 +168,17 @@ def _almost_rigid(seq, periods_yes, periods_unknown, horizon):
         return NO
     if periods_unknown:
         return UNKNOWN
-    once, recurring, gen = components(seq)
+    once, _, gen = components(seq)
     if gen is None:
-        # every shift k >= max(S, 1) + L repeats shift k - L (`_shift_report`),
-        # so the shifts below that bound stand for all of them
-        return YES if horizon >= max(settled_from(seq), 1) + len(recurring) - 1 else UNKNOWN
-    if not once and gen.context.hole_depth() >= 1:
-        # stage 0 cannot embed into any later stage when its root degree
-        # exceeds the fixed root degree of all later stages
-        d0 = root_degree(stage(gen, 0))
-        d1 = root_degree(stage(gen, 1))
-        if d1 != "w" and (d0 == "w" or d0 > d1):
+        # the shifts below `_repeat_from`'s first stand for all of them
+        return YES if horizon >= _repeat_from(seq)[0] - 1 else UNKNOWN
+    if gen.context.hole_depth() >= 1:
+        # root degree is monotone under root-to-root embedding, and every
+        # stage from 1 on has stage 1's: so component 0 embeds in no later
+        # one when its root degree exceeds stage 1's and each later patch's
+        d0 = root_degree(stage(seq, 0))
+        later = [root_degree(stage(gen, 1))] + [root_degree(t) for n, t in once if n > 0]
+        if "w" not in later and (d0 == "w" or d0 > max(later)):
             return YES
     return UNKNOWN
 
@@ -190,20 +200,17 @@ def shift_report(t: Term, horizon: int = 8) -> ShiftReport:
 
 
 def _shift_report(seq, horizon):
-    """Walk the shifts 1..horizon, each at most once.  With no generated
-    tail, positions from S = settled_from(seq) on hold the cycle members in
-    turn, so once k >= max(S, 1) + L (L the cycle length) both n + k and
-    n + k - L are past S for every n >= 0 and hold the same member: shift
-    k reads exactly the pairs of shift k - L, and takes its verdict and
-    offset from there."""
+    """Walk the shifts 1..horizon, each at most once: a shift k >= first
+    reads exactly the pairs of shift k - p (`_repeat_from`), and takes its
+    verdict and offset from there."""
     memo = {}
     notes = []
     reach = max(4, horizon // 2)  # how far past the transient a generated tail is scanned
-    first, cycle = _repeat_from(seq)
+    first, p = _repeat_from(seq)
     yes, unk, eventual, walked = [], [], {}, {}
     for k in range(1, horizon + 1):
         if k >= first:
-            strict, u = walked[k - cycle]
+            strict, u = walked[k - p]
         else:
             strict, u = shift_walk(seq, seq, k, memo=memo, reach=reach)
         walked[k] = strict, u
@@ -226,22 +233,25 @@ def _shift_report(seq, horizon):
 
 
 def _repeat_from(seq):
-    """(first, L): every shift k >= first repeats shift k - L.  A generated
-    tail leaves no cycle to repeat: first is then INF."""
+    """(first, p): every shift k >= first = max(S, 1) + p repeats shift
+    k - p, p the cycle's least period under term equality (module
+    docstring).  A generated tail leaves no cycle to repeat: first is INF."""
     _, recurring, gen = components(seq)
     if gen is not None:
         return INF, 0
-    return max(settled_from(seq), 1) + len(recurring), len(recurring)
+    n = len(recurring)
+    p = next((p for p in range(1, n // 2 + 1) if n % p == 0 and recurring[p:] == recurring[: n - p]), n)
+    return max(settled_from(seq), 1) + p, p
 
 
 def _origin(seq, regular, eventual, memo, reach):
     """Least spine index u from which the component sequence is equimorphy
     periodic: component y equimorphic to component y+d for all y >= u.  No
     candidate the loop reaches repeats an earlier shift (`_repeat_from`): a
-    generated tail repeats none, and otherwise shift L (the cycle length)
-    pairs each cycle member with itself both ways from S = settled_from(seq)
-    on, so within the horizon it is a candidate where the loop returns at
-    the latest, below the first repeating shift max(S, 1) + L."""
+    generated tail repeats none, and otherwise shift p (the cycle's least
+    period) pairs equal terms both ways from S = settled_from(seq) on, so
+    within the horizon it is a candidate where the loop returns at the
+    latest, below the first repeating shift max(S, 1) + p."""
     if regular == NO:
         return None, "components fall into infinitely many equimorphy classes"
     if regular == UNKNOWN:

@@ -438,20 +438,6 @@ class Context:
         """How many steps of the hole path enter a cycle position of a wsum."""
         return self._hole_wsum_cycles
 
-    def hole_under_sup_branch(self):
-        """Is there a sup node on the hole path whose other content guarantees
-        a branching vertex above (or at) every substituted copy?  True when
-        the hole's arm has multiplicity >= 2 or a sibling arm has a
-        non-single-vertex term."""
-        for node, i in self.path:
-            if isinstance(node, Sup):
-                m = node.arms[i][1]
-                if m == OMEGA_MULT or m >= 2:
-                    return True
-                if any(not a.single for j, (a, _) in enumerate(node.arms) if j != i):
-                    return True
-        return False
-
 
 class Hole(Term):
     """The hole of a context shape.  It measures as a box, so a shape's

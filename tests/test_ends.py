@@ -1,27 +1,34 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scattree.embedding import embeds
+from scattree.embedding import embeds, growth_certificate
 from scattree.ends import (
     OriginUndefined,
+    _branch_growth,
     origin_vertex,
     regular_components,
     shift_report,
 )
+from scattree.ranks import rank_summary
 from scattree.terms import (
+    INF,
     NO,
     Patched,
     TermError,
     UNKNOWN,
     YES,
     WSum,
+    branch_count,
     builtins,
     parse_term,
     spine_address,
     stage,
 )
+
+from test_parse import context, term  # the parser tests' grammar
 
 
 # -- fixture reports -----------------------------------------------------------
@@ -177,6 +184,42 @@ def test_regularity_can_stay_unknown():
     assert verdict == UNKNOWN
 
 
+def test_growth_certificates_hold_on_their_stages():
+    """Each certificate reads a recurrence off the context and at most
+    stages 0-4; the stages past it, measured from their own terms, must
+    follow.  Where ranks fire, rank_summary rises over stages 0-4; where
+    heights fire, heights rise over stages 0-7; where branch counts fire,
+    stages 3-9 rise by one constant step, and where stage 4's count is
+    finite and not above stage 3's, no stage from 4 to 9 rises.  2500
+    seeded tails gen(term; context)."""
+    rng = random.Random(29)
+    fired = {"ranks": 0, "heights": 0, "branch counts": 0, "flat": 0}
+    for _ in range(2500):
+        gen = parse_term(f"wsum(gen({''.join(term(rng, 3))};{''.join(context(rng, 3))}))").seq
+        reason = growth_certificate(gen) or ""
+        if reason.startswith("stage ranks"):
+            fired["ranks"] += 1
+            r = [rank_summary(stage(gen, n)).space_rank for n in range(5)]
+            assert all(a < b for a, b in zip(r, r[1:])), (gen, r)
+        elif reason.startswith("stage heights"):
+            fired["heights"] += 1
+            h = [stage(gen, n).height for n in range(8)]
+            assert all(a < b for a, b in zip(h, h[1:])), (gen, h)
+        if stage(gen, 2).single:
+            continue
+        b = [branch_count(stage(gen, n)) for n in range(3, 10)]
+        if None in b[:2] or INF in b[:2]:
+            continue
+        if _branch_growth(gen):
+            fired["branch counts"] += 1
+            steps = {y - x for x, y in zip(b, b[1:])}
+            assert len(steps) == 1 and min(steps) >= 1, (gen, b)
+        else:
+            fired["flat"] += 1
+            assert all(y <= x for x, y in zip(b, b[1:])), (gen, b)
+    assert min(fired.values()) >= 40, fired
+
+
 # -- honesty under undecided embeddings ---------------------------------------------
 
 def test_undecided_components_surface_in_notes():
@@ -188,7 +231,14 @@ def test_undecided_components_surface_in_notes():
 
 
 def test_almost_rigid_shortcut_matches_report():
-    assert shift_report(builtins()["ex4"]).almost_rigid == YES
+    ex4 = builtins()["ex4"]
+    assert shift_report(ex4).almost_rigid == YES
+    # identity patches: the root-degree rule reads every later patch
+    for n in (0, 5):
+        assert shift_report(WSum(Patched(ex4.seq, {n: stage(ex4.seq, n)}))).almost_rigid == YES, n
+    # a later patch whose root degree reaches component 0's blocks the rule
+    blocked = parse_term("wsum(patch(gen(sup(succ(box)*3);succ(sup(_*2)));4:sup(succ(box)*w)))")
+    assert shift_report(blocked).almost_rigid == UNKNOWN
 
 
 @pytest.mark.parametrize(

@@ -536,15 +536,23 @@ class WalkCount:
 
 
 def test_periodic_spine_walks_each_shift_class_once(monkeypatch):
+    """Shifts 1..max(S, 1) + p - 1 are walked, p the least rotation of the
+    cycle that maps it to itself term by term: a cycle written twice over
+    costs what it does once."""
     rng = random.Random(17)
+    shorter = 0
     for _ in range(200):
         seq = spine(rng)
-        period = len(components(seq)[1])
+        cycle = components(seq)[1]
+        n = len(cycle)
+        period = min(p for p in range(1, n + 1) if all(cycle[i] == cycle[(i + p) % n] for i in range(n)))
+        shorter += period < n
         for horizon in (8, 40, 400):
             count = WalkCount(monkeypatch)
             report = shift_report(WSum(seq), horizon)
             assert count.strict == min(horizon, max(settled_from(seq), 1) + period - 1)
             assert count.both_ways <= len(report.eventual)
+    assert shorter >= 30, shorter
 
 
 def test_horizon_does_not_set_the_cost_of_a_periodic_spine(monkeypatch):
@@ -583,11 +591,13 @@ def test_almost_rigid_is_decided_once_every_shift_class_is_walked():
 
 
 def test_almost_rigid_at_the_repeat_bound():
-    # S = 4 (the patch at 3), L = 2: shifts 1..5 are every class
-    t = parse_term("wsum(patch([box](succ(box),sup(box*2));3:succ(succ(box))))")
-    for horizon, rigid, twins in ((4, UNKNOWN, UNKNOWN), (5, YES, "one"), (8, YES, "one")):
-        assert shift_report(t, horizon).almost_rigid == rigid, horizon
-        assert classify(t, horizon).twins == twins, horizon
+    # S = 4 (the patch at 3), L = 2: shifts 1..5 are every class, also
+    # when the cycle is written twice over
+    for cycle in ("succ(box),sup(box*2)", "succ(box),sup(box*2),succ(box),sup(box*2)"):
+        t = parse_term(f"wsum(patch([box]({cycle});3:succ(succ(box))))")
+        for horizon, rigid, twins in ((4, UNKNOWN, UNKNOWN), (5, YES, "one"), (8, YES, "one")):
+            assert shift_report(t, horizon).almost_rigid == rigid, (cycle, horizon)
+            assert classify(t, horizon).twins == twins, (cycle, horizon)
 
 
 def test_a_generated_tail_that_fails_at_its_transient_is_scanned_on():
