@@ -13,6 +13,9 @@ expanded tree.
 walks call it for every pair of children or components they read, and
 only it reads the memo's (term, term) entries.  Its recursion costs two
 Python frames per finite term level and four per spined-sum level.
+Every pair is decided within one budget, `PAIR_HORIZON`, whoever asks,
+so a memo's entries hold for every caller; only `shift_embeds` takes a
+horizon, and it bounds that call's own shift search, never its pairs.
 """
 
 from __future__ import annotations
@@ -38,10 +41,14 @@ from .terms import (
     tri_and,
 )
 
+# the budget of every pair: the supseq members `_capacities` reads, the stages
+# `shift_embeds`' chain rule reads, and the shifts of a spined-sum pair in `embeds`
+PAIR_HORIZON = 16
 
-def embeds(t: Term, s: Term, horizon: int = 16, _memo=None) -> str:
+
+def embeds(t: Term, s: Term, _memo=None) -> str:
     """Tri-valued induced-embedding check, root to root.  yes and no answers
-    are sound; unknown marks the analysis horizon.
+    are sound; unknown marks the pair budget (`PAIR_HORIZON`).
 
     The one decider of a (term, term) pair: `_pack` and the shift tables
     call it for every pair they read.  The measure fields settle a pair
@@ -53,8 +60,8 @@ def embeds(t: Term, s: Term, horizon: int = 16, _memo=None) -> str:
 
     Every other pair packs root children (`terms.root_children`), listed
     exactly for every term but a supseq whose generated stages have a
-    child: such a source is unknown, and of such a target only the first
-    `horizon` members are read (`_capacities`), where only a yes is sound.
+    child: such a source is unknown, and of such a target the first
+    `PAIR_HORIZON` members are read (`_capacities`): only a yes is sound.
 
     Its callers need the rooted relation: `_pack`'s child pairs, the
     shift tables' component pairs, `_stage_embeds`, and
@@ -76,30 +83,30 @@ def embeds(t: Term, s: Term, horizon: int = 16, _memo=None) -> str:
     if t == s:
         out = YES
     elif isinstance(t, WSum) and isinstance(s, WSum):
-        out = shift_embeds(t, s, horizon, _memo)
+        out = shift_embeds(t, s, PAIR_HORIZON, _memo)
     else:
         # generic packing of root children; exact on finite terms, where a
         # root-to-root embedding is an injective matching of children into
         # children they embed in, decided once per pair of subterms by the memo
         dem = root_children(t)
-        caps = None if dem is None else _capacities(s, horizon)
+        caps = None if dem is None else _capacities(s)
         if caps is not None:
-            out = _pack(dem, caps, horizon, _memo)
+            out = _pack(dem, caps, _memo)
             if out != YES and isinstance(s, SupSeq) and s.arms is None:
                 out = UNKNOWN
     _memo[key] = out
     return out
 
 
-def _capacities(s, horizon):
+def _capacities(s):
     """The root children of s; of a supseq whose generated stages have a
-    child, those of its first `horizon` members, where only a yes is sound;
-    None when they are not listed."""
+    child, those of its first `PAIR_HORIZON` members, where only a yes is
+    sound; None when they are not listed."""
     caps = root_children(s)
     if caps is not None or not isinstance(s, SupSeq):
         return caps
     caps = []
-    for j in range(horizon):
+    for j in range(PAIR_HORIZON):
         sub = root_children(stage(s.seq, j))
         if sub is None:
             return None
@@ -107,7 +114,7 @@ def _capacities(s, horizon):
     return caps
 
 
-def _pack(demands, capacities, horizon, memo):
+def _pack(demands, capacities, memo):
     """Can the demand children inject into the capacity children so that each
     pair embeds?  Tri-valued: NO only when even unknown edges cannot help.
     Multiplicities are amounts in a transportation problem, never unit
@@ -115,7 +122,7 @@ def _pack(demands, capacities, horizon, memo):
     edges = {}
     for i, (a, _) in enumerate(demands):
         for j, (b, _) in enumerate(capacities):
-            edges[i, j] = embeds(a, b, horizon, memo)
+            edges[i, j] = embeds(a, b, memo)
 
     def feasible(ok):
         # omega demands each need an omega capacity; they share freely
@@ -183,22 +190,24 @@ def _pack(demands, capacities, horizon, memo):
     return UNKNOWN
 
 
-def shift_embeds(t: Term, s: Term, horizon: int = 16, memo=None) -> str:
+def shift_embeds(t: Term, s: Term, horizon: int = PAIR_HORIZON, memo=None) -> str:
     """The shift relation between spined sums t and s: is there a shift
     k >= 0 with component n of t embedding in component n + k of s for
     every n, each pair decided root to root by `embeds`?  A yes gives an
     embedding without roots, spine vertex n mapped to n + k; a no refutes
-    only such spine-aligned embeddings.  `twins.verify_twins` uses it."""
+    only such spine-aligned embeddings.  `twins.verify_twins` uses it.
+    `horizon` bounds only the shifts searched one by one, 0..horizon, where
+    no shift table lists the deciding shifts; pairs take `PAIR_HORIZON`."""
     if memo is None:
         memo = {}
     p, q = t.seq, s.seq
     if isinstance(p, Periodic) and isinstance(q, Generated):
         # if q's stages form an increasing chain and every component of p
         # lands somewhere in it, a large enough shift works
-        if embeds(stage(q, 0), stage(q, 1), horizon, memo) == YES:
+        if embeds(stage(q, 0), stage(q, 1), memo) == YES:
             comps = set(p.prefix) | set(p.cycle)
             if all(
-                any(embeds(c, stage(q, m), horizon, memo) == YES for m in range(horizon + 1))
+                any(embeds(c, stage(q, m), memo) == YES for m in range(PAIR_HORIZON + 1))
                 for c in comps
             ):
                 return YES
@@ -212,7 +221,7 @@ def shift_embeds(t: Term, s: Term, horizon: int = 16, memo=None) -> str:
         return UNKNOWN
     if isinstance(_inner(p), Periodic) and isinstance(_inner(q), Periodic):
         # the shifts the table lists decide every shift
-        table = _shift_table(p, q, horizon, memo)
+        table = _shift_table(p, q, memo)
         verdict = NO
         for s in table.shifts_to_try():
             walked = table.walk(s, False, None, memo)[0]
@@ -222,7 +231,7 @@ def shift_embeds(t: Term, s: Term, horizon: int = 16, memo=None) -> str:
                 verdict = UNKNOWN
         return verdict
     for s in range(horizon + 1):
-        if shift_walk(p, q, s, horizon, memo)[0] == YES:
+        if shift_walk(p, q, s, memo)[0] == YES:
             return YES
     return UNKNOWN  # shifts beyond the horizon stay open
 
@@ -237,7 +246,7 @@ _EARLY_STAGE = 4
 _TABLES = object()
 
 
-def shift_walk(p, q, s, horizon=16, memo=None, both_ways=False, reach=None):
+def shift_walk(p, q, s, memo=None, both_ways=False, reach=None):
     """The shift relation: does component p[n] embed in component q[n + s]
     for every n >= u?  With `both_ways` each pair must embed both ways
     (equimorphy).
@@ -273,7 +282,7 @@ def shift_walk(p, q, s, horizon=16, memo=None, both_ways=False, reach=None):
         memo = {}
     inner_p, inner_q = _inner(p), _inner(q)
     if isinstance(inner_p, Periodic) and isinstance(inner_q, Periodic):
-        return _shift_table(p, q, horizon, memo).walk(s, both_ways, reach, memo)
+        return _shift_table(p, q, memo).walk(s, both_ways, reach, memo)
     if not (
         isinstance(inner_p, Generated)
         and isinstance(inner_q, Generated)
@@ -283,9 +292,9 @@ def shift_walk(p, q, s, horizon=16, memo=None, both_ways=False, reach=None):
     start = _transient(p, q)
 
     def holds(a, n, b):
-        verdict = _stage_embeds(a, n, b, n + s, horizon, memo)
+        verdict = _stage_embeds(a, n, b, n + s, memo)
         if both_ways and verdict != NO:
-            verdict = tri_and(verdict, _stage_embeds(b, n + s, a, n, horizon, memo))
+            verdict = tri_and(verdict, _stage_embeds(b, n + s, a, n, memo))
         return verdict
 
     verdict, last = YES, -1  # last: the last pair read that is not yes
@@ -308,12 +317,12 @@ def shift_walk(p, q, s, horizon=16, memo=None, both_ways=False, reach=None):
     return verdict, None
 
 
-def _shift_table(p, q, horizon, memo):
+def _shift_table(p, q, memo):
     """The memo's shift table of (p, q), built on first use."""
     key = (_TABLES, p, q)
     table = memo.get(key)
     if table is None:
-        table = memo[key] = _ShiftTable(p, q, horizon)
+        table = memo[key] = _ShiftTable(p, q)
     return table
 
 
@@ -332,19 +341,16 @@ class _ShiftTable:
     them.  The memo keys the table by p and q themselves, so equal
     sequences share one table too.  The table does not hold the memo that
     holds it, so a finished memo is freed at once, not left to the cycle
-    collector: each walk passes the memo in.  Like the memo's (t, s)
-    entries, a class verdict holds for the memo's one horizon.  Only yes
-    and no are kept for classes: an unknown may rest on the cycle guard of
-    a pair still being decided further up.
+    collector: each walk passes the memo in.  Only yes and no are kept for
+    classes: an unknown may rest on the cycle guard of a pair still being
+    decided further up.
     """
 
     __slots__ = (
-        "horizon", "classes", "marks_p", "marks_q", "cyc_p", "cyc_q", "kp", "kq", "cycle",
-        "window",
+        "classes", "marks_p", "marks_q", "cyc_p", "cyc_q", "kp", "kq", "cycle", "window",
     )
 
-    def __init__(self, p, q, horizon):
-        self.horizon = horizon
+    def __init__(self, p, q):
         self.classes = {}  # (s mod L, both_ways) -> yes or no
         once_p, cyc_p, _ = components(p)
         once_q, cyc_q, _ = components(q)
@@ -425,7 +431,7 @@ class _ShiftTable:
         order: the conjunction of p[n] into q[n + s] (and back, with
         `both_ways`), and the greatest n whose pair is not yes, or -1.
         With `stop` the read ends at the first no."""
-        marks_p, marks_q, horizon = self.marks_p, self.marks_q, self.horizon
+        marks_p, marks_q = self.marks_p, self.marks_q
         cyc_p, cyc_q, kp, kq = self.cyc_p, self.cyc_q, self.kp, self.kq
         lp, lq = len(cyc_p), len(cyc_q)
         verdict, last = YES, -1
@@ -433,9 +439,9 @@ class _ShiftTable:
             # a = stage(p, n) and b = stage(q, n + s), without the calls
             a = marks_p.get(n) or cyc_p[(n - kp) % lp]
             b = marks_q.get(n + s) or cyc_q[(n + s - kq) % lq]
-            pair = embeds(a, b, horizon, memo)
+            pair = embeds(a, b, memo)
             if both_ways and pair != NO:
-                back = embeds(b, a, horizon, memo)
+                back = embeds(b, a, memo)
                 if back != YES:
                     pair = back
             if pair != YES:
@@ -458,7 +464,7 @@ def _transient(p, q):
     return 1 + max(p.last_patch(), q.last_patch())
 
 
-def _stage_embeds(p, i, q, j, horizon, memo):
+def _stage_embeds(p, i, q, j, memo):
     """embeds(p[i], q[j]) with shortcuts for same-generator stages: stages
     nest as deep as their index, and packing recurses once per term level,
     so comparing two deep stages directly is slow and can exhaust the
@@ -486,13 +492,13 @@ def _stage_embeds(p, i, q, j, horizon, memo):
         if ii is not None and jj is not None:
             if ii < jj:
                 if (
-                    embeds(gp.base, stage(gq, 1), horizon, memo) == YES
-                    or embeds(gp.base, stage(gq, jj - ii), horizon, memo) == YES
+                    embeds(gp.base, stage(gq, 1), memo) == YES
+                    or embeds(gp.base, stage(gq, jj - ii), memo) == YES
                 ):
                     return YES
             elif growth_certificate(gp):
                 return NO
-    return embeds(a, b, horizon, memo)
+    return embeds(a, b, memo)
 
 
 def growth_certificate(gen: Generated):
@@ -518,6 +524,6 @@ def growth_certificate(gen: Generated):
     return None
 
 
-def equimorphic(t: Term, s: Term, horizon: int = 16) -> str:
+def equimorphic(t: Term, s: Term) -> str:
     memo = {}
-    return tri_and(embeds(t, s, horizon, memo), embeds(s, t, horizon, memo))
+    return tri_and(embeds(t, s, memo), embeds(s, t, memo))

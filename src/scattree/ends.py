@@ -38,8 +38,8 @@ once, and so do the origin's both-ways walks of one class.  A class that
 fails settles its shift before any pair at a mark is read.  Every pair
 the walk reads goes to `embeds`, which decides it once per memo and pair
 of component terms, so equal components built as distinct objects share
-one verdict.  A memo serves one horizon, as those entries already assume:
-the walks pass no horizon, so every pair is decided at `embeds`' default.
+one verdict.  The report's horizon bounds the shifts only: every pair is
+decided within the one pair budget, `embedding.PAIR_HORIZON`.
 
 Regularity asks whether the components fall into finitely many equimorphy
 classes.  Certificates:
@@ -162,7 +162,7 @@ def _branch_growth(seq: Generated):
     return None
 
 
-def _almost_rigid(seq, periods_yes, periods_unknown, horizon):
+def _almost_rigid(seq, periods_yes, periods_unknown, horizon, first):
     """Tri-valued: no strict period at all?"""
     if periods_yes:
         return NO
@@ -170,8 +170,8 @@ def _almost_rigid(seq, periods_yes, periods_unknown, horizon):
         return UNKNOWN
     once, _, gen = components(seq)
     if gen is None:
-        # the shifts below `_repeat_from`'s first stand for all of them
-        return YES if horizon >= _repeat_from(seq)[0] - 1 else UNKNOWN
+        # the shifts below `first`, `_repeat_from`'s, stand for all of them
+        return YES if horizon >= first - 1 else UNKNOWN
     if gen.context.hole_depth() >= 1:
         # root degree is monotone under root-to-root embedding, and every
         # stage from 1 on has stage 1's: so component 0 embeds in no later
@@ -186,10 +186,10 @@ def _almost_rigid(seq, periods_yes, periods_unknown, horizon):
 def shift_report(t: Term, horizon: int = 8) -> ShiftReport:
     """Shift analysis of a spined sum over the shifts 1..horizon.  The
     horizon bounds the shifts only: each pair of components is decided by
-    `embeds` at its default horizon 16, whatever the report's own.  The
-    report is cached on the term object per horizon (`analysis_cache`) and
-    shared by every caller, so it must not be mutated: its containers are
-    read-only."""
+    `embeds` within `embedding.PAIR_HORIZON`, whatever the report's own.
+    The report is cached on the term object per horizon (`analysis_cache`)
+    and shared by every caller, so it must not be mutated: its containers
+    are read-only."""
     if not isinstance(t, WSum):
         raise TermError("shift analysis needs a spined sum at the root")
     cache = analysis_cache(t)
@@ -223,7 +223,7 @@ def _shift_report(seq, horizon):
     if unk:
         notes.append(f"strict periods undecided at {unk}")
     d = yes[0] if yes else None
-    rigid = _almost_rigid(seq, yes, unk, horizon)
+    rigid = _almost_rigid(seq, yes, unk, horizon, first)
     regular, reason = regular_components(seq)
     notes.append(f"regular: {reason}")
     origin_index, origin_error = _origin(seq, regular, eventual, memo, reach)

@@ -75,10 +75,6 @@ class Poset:
     def le(self, a, b) -> bool:
         return (a, b) in self._le
 
-    def is_antichain_on(self, labels) -> bool:
-        labels = set(labels)
-        return not any(a != b and self.le(a, b) for a in labels for b in labels)
-
     def strict_pairs_into(self, labels):
         """(s, t) with s strictly below t and t drawn from `labels`."""
         out = []
@@ -134,11 +130,6 @@ class LabelledPath:
         if n < len(self.center):
             return self.center[n]
         return self.right[(n - len(self.center)) % len(self.right)]
-
-    def labels_used(self):
-        if self.kind == "oneway":
-            return set(self.prefix) | set(self.cycle)
-        return set(self.left) | set(self.center) | set(self.right)
 
     def __eq__(self, other):
         if self is other:
@@ -392,7 +383,10 @@ def _rotations(cycle):
 def lpath_twin_count(p: LabelledPath):
     """(count, reason): how many pairwise distinct labelled paths are
     mutually embeddable with p.  `count` is "one", an integer, "continuum",
-    or "unknown".  Rules are tried in order; only decided cases answer."""
+    or "unknown".  Rules are tried in order; only decided cases answer.
+    Past the continuum rule the used labels form an antichain: a feasible
+    shift r and used labels s < t, t at n, give t <= label(n + jr) for
+    every j, so a cycle label u >= t > s makes (s, u) lowerable."""
     if p.kind == "twoway":
         d = displacements(p)
         if not d["values"]:
@@ -412,15 +406,10 @@ def lpath_twin_count(p: LabelledPath):
             "infinite co-infinite set of its positions, and distinct sets give "
             "distinct twins",
         )
-    if p.poset.is_antichain_on(p.labels_used()):
-        if p.prefix:
-            return (
-                "unknown",
-                "antichain labels with a transient prefix fall outside the decided table",
-            )
-        count = len(_rotations(p.cycle))
-        return count, "with incomparable labels the twins are exactly the rotations of the cycle"
-    return "unknown", "no twin-count rule applies"
+    if p.prefix:
+        return "unknown", "antichain labels with a transient prefix fall outside the decided table"
+    count = len(_rotations(p.cycle))
+    return count, "with incomparable labels the twins are exactly the rotations of the cycle"
 
 
 def enumerate_lpath_twins(p: LabelledPath, count: int = 5):
@@ -578,10 +567,12 @@ def verify_twins(t: Term, twins, horizon: int = 12) -> dict:
     (``CutCoder``) and share one intern table, so they are comparable only
     within one result.
     The mutual checks search spine shifts up to `horizon` past the same
-    reach, since the n-th twin_n member needs a shift of at least 3n + 2;
-    they share one memo.  Neither the reach nor the cut depth is capped:
-    both follow the deepest patch.  A check left `unknown`, or a code
-    shared, reports the family unverified, never wrongly verified.
+    reach, since the n-th twin_n member needs a shift of at least 3n + 2,
+    and share one memo; the horizon bounds those shifts only, every pair
+    being decided within `embedding.PAIR_HORIZON`.  Neither the reach nor
+    the cut depth is capped: both follow the deepest patch.  A check left
+    `unknown`, or a code shared, reports the family unverified, never
+    wrongly verified.
     """
     from .cuts import CutCoder
     from .embedding import shift_embeds
@@ -594,8 +585,8 @@ def verify_twins(t: Term, twins, horizon: int = 12) -> dict:
     coder = CutCoder(CUT_WIDTH)
     depth = max(20, reach)
     codes = [str(coder.code(x, depth)) for x in items]
-    # one memo, at one horizon, for every check both ways: the members
-    # share most component pairs, so each is decided once per family
+    # one memo for every check both ways: the members share most
+    # component pairs, so each is decided once per family
     h, memo = horizon + reach, {}
     mutual = [tri_and(shift_embeds(t, s, h, memo), shift_embeds(s, t, h, memo)) for s in twins]
     distinct = len(set(codes)) == len(codes)

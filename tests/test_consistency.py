@@ -54,7 +54,7 @@ def test_embedding_is_transitive():
     into, onto, refuted = [0] * len(terms), [0] * len(terms), []
     for i, a in enumerate(terms):
         for j, b in enumerate(terms):
-            verdict = embeds(a, b, 16, memo)
+            verdict = embeds(a, b, memo)
             if verdict == YES:
                 into[i] |= 1 << j  # the bs that a embeds in
                 onto[j] |= 1 << i  # the as that embed in b

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scattree import embedding
 from scattree.embedding import embeds, growth_certificate
 from scattree.ends import (
     OriginUndefined,
@@ -96,13 +97,19 @@ def test_deep_patch_gets_linear_offsets():
     assert r.eventual == {k: 3001 - k for k in range(1, 9)}
 
 
-def test_component_pairs_are_decided_at_the_embeds_default_horizon():
+def test_component_pairs_are_decided_at_the_embeds_default_horizon(monkeypatch):
     # the report's horizon bounds the shifts only: succ^3(box) embeds in the
-    # supseq of all finite paths from embeds horizon 4 on, and the report
-    # decides that pair at embeds' default 16 even at horizon 1
+    # supseq of all finite paths once the pair budget reads 4 members, and
+    # the report decides that pair within PAIR_HORIZON even at horizon 1
     t = parse_term("wsum([succ(succ(succ(box)))](supseq(gen(box;succ(_)))))")
     a, b = stage(t.seq, 0), stage(t.seq, 1)
-    assert [embeds(a, b, h) for h in range(1, 5)] == [UNKNOWN, UNKNOWN, UNKNOWN, YES]
+    verdicts = []
+    for budget in range(1, 5):
+        monkeypatch.setattr(embedding, "PAIR_HORIZON", budget)
+        verdicts.append(embeds(a, b))
+    assert verdicts == [UNKNOWN, UNKNOWN, UNKNOWN, YES]
+    monkeypatch.undo()
+    assert embedding.PAIR_HORIZON == 16
     assert embeds(a, b) == YES
     assert shift_report(t, 1).periods == (1,)
 

@@ -120,9 +120,9 @@ def dense_walk(p, q, s, both_ways=False, reach=None):
     memo, end = {}, window(p, q)
     verdict, last = YES, -1
     for n in range(end):
-        pair = embedding._stage_embeds(p, n, q, n + s, 16, memo)
+        pair = embedding._stage_embeds(p, n, q, n + s, memo)
         if both_ways and pair != NO:
-            pair = tri_and(pair, embedding._stage_embeds(q, n + s, p, n, 16, memo))
+            pair = tri_and(pair, embedding._stage_embeds(q, n + s, p, n, memo))
         if pair != YES:
             if pair == NO and reach is None:
                 return NO, None
@@ -482,7 +482,7 @@ def dense_report(seq, horizon):
     return {
         "periods": tuple(yes),
         "eventual": eventual,
-        "almost_rigid": ends._almost_rigid(seq, yes, unknown, horizon),
+        "almost_rigid": ends._almost_rigid(seq, yes, unknown, horizon, ends._repeat_from(seq)[0]),
         "regular": regular,
         "origin": origin,
         "notes": tuple(notes),
@@ -613,7 +613,7 @@ def test_a_generated_tail_that_fails_at_its_transient_is_scanned_on():
     report = shift_report(t, 8)
     assert report.periods == (2, 3, 4, 5, 6, 7, 8)
     for k in range(1, 9):
-        pairs = [embedding._stage_embeds(seq, n, seq, n + k, 16, memo) for n in range(4)]
+        pairs = [embedding._stage_embeds(seq, n, seq, n + k, memo) for n in range(4)]
         holds_from = pairs.index(YES)
         assert pairs[holds_from:] == [YES] * (4 - holds_from), k
         assert report.eventual[k] == holds_from, k

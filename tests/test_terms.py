@@ -120,6 +120,19 @@ def test_structural_equality_and_hash():
     assert a != parse_term("sup(succ(box)*3)")
 
 
+def test_structure_comparison_reads_past_the_hash():
+    # `__eq__` calls `_same_structure` only on equal hashes, so its refusals
+    # run on a collision; called directly, each is pinned on two terms of
+    # one class that differ below the root
+    for x, y in (
+        ("succ(box)", "succ(succ(box))"),  # a child of another class
+        ("sup(box,succ(box))", "sup(succ(box))"),  # a different arm count
+        ("sup(box*2)", "sup(box*3)"),  # a different multiplicity
+    ):
+        assert not terms._same_structure(parse_term(x), parse_term(y)), (x, y)
+        assert terms._same_structure(parse_term(x), parse_term(x)), x
+
+
 # -- components ---------------------------------------------------------------
 
 def test_stage_periodic_and_patched():
@@ -453,6 +466,38 @@ def test_level_is_spine_minus_depth():
     assert level(t, deep) == 3  # one step below spine position 4
 
 
+def test_resolve_a_supseq_member():
+    # an arm step scopes into member i of a supseq, whose root is the
+    # supseq's root: into member 1, succ(box), and down to its leaf
+    t = parse_term("supseq([](box,succ(box)))")
+    leaf = resolve(t, (("arm", 1, 0), ("into",)))
+    assert leaf.subterm == BOX
+    assert leaf.depth_below == 1 and leaf.degree == 1
+    assert leaf.spine_index is None and leaf.component_index is None
+    assert resolve(t, (("arm", 1, 0),)).subterm == parse_term("succ(box)")
+
+
+def test_level_of_the_root_without_a_spine_step():
+    # the empty address of a spined sum is its root, spine vertex 0
+    for name in ("ray", "ex1"):
+        t = builtins()[name]
+        assert resolve(t, ()).spine_index is None
+        assert level(t, ()) == level(t, spine_address(0)) == 0, name
+
+
+def test_distance_within_one_component():
+    # component 2 is succ(sup(succ(box)*2)): two leaves two steps below the
+    # sup vertex, which sits one step below spine vertex 2
+    t = parse_term("wsum([](succ(sup(succ(box)*2))))")
+    sup = (("spine", 2), ("into",))
+    x, y = sup + (("arm", 0, 0), ("into",)), sup + (("arm", 0, 1), ("into",))
+    assert join_address(t, x, y) == sup
+    assert address_distance(t, x, y) == 2
+    assert address_distance(t, x, spine_address(2)) == 2
+    # both arm copies scope to the sup vertex itself
+    assert address_distance(t, sup + (("arm", 0, 0),), sup + (("arm", 0, 1),)) == 0
+
+
 def test_join_and_distance():
     ray = builtins()["ray"]
     a, b = spine_address(2), spine_address(6)
@@ -573,7 +618,7 @@ def test_embeds_measure_field_verdicts_survive_exact_cuts():
     checked = {YES: 0, NO: 0}
     for t, s in pairs:
         memo = {}
-        verdict = embeds(t, s, 16, memo)
+        verdict = embeds(t, s, memo)
         where = (format_term(t), format_term(s))
         # the verdicts given before any memo entry are exactly these
         settled = YES if t is s or t.single else NO if s.single or t.size > s.size else None
