@@ -114,15 +114,15 @@ def _cmd_twins(args):
             import random
 
             rng = random.Random(args.seed)
-            # keep offsets small: the verification cut depth and shift search
-            # grow with the deepest patched position
+            # keep offsets small: the verification cut depth grows with the
+            # deepest patched position
             offsets = rng.sample(range(max(6, args.count)), args.count)
             sets = [tuple(j * (j + 1) // 2 + off for j in range(1, 7)) for off in offsets]
             family = [twin_from_subset(t, a, args.horizon) for a in sets]
             payload["sets"] = [list(a) for a in sets]
         else:
             family = [twin_n(t, j, args.horizon) for j in range(1, args.count + 1)]
-        check = verify_twins(t, family, horizon=max(args.horizon, 12))
+        check = verify_twins(t, family, args.horizon)
         payload["family"] = [format_term(x) for x in family]
         payload["verified"] = check["ok"]
         payload["mutual"] = check["mutual"]

@@ -13,9 +13,8 @@ expanded tree.
 walks call it for every pair of children or components they read, and
 only it reads the memo's (term, term) entries.  Its recursion costs two
 Python frames per finite term level and four per spined-sum level.
-Every pair is decided within one budget, `PAIR_HORIZON`, whoever asks,
-so a memo's entries hold for every caller; only `shift_embeds` takes a
-horizon, and it bounds that call's own shift search, never its pairs.
+Every pair is decided within one budget, `PAIR_HORIZON`, and no
+function here takes a horizon, so a memo's entries hold for every caller.
 """
 
 from __future__ import annotations
@@ -41,8 +40,8 @@ from .terms import (
     tri_and,
 )
 
-# the budget of every pair: the supseq members `_capacities` reads, the stages
-# `shift_embeds`' chain rule reads, and the shifts of a spined-sum pair in `embeds`
+# the budget of every pair: the supseq members `_capacities` reads, and the
+# stages and the shifts searched one by one by `shift_embeds`
 PAIR_HORIZON = 16
 
 
@@ -66,8 +65,8 @@ def embeds(t: Term, s: Term, _memo=None) -> str:
     Its callers need the rooted relation: `_pack`'s child pairs, the
     shift tables' component pairs, `_stage_embeds`, and
     `ends._regular_tail` through `equimorphic`.  Between two wsum terms
-    it still answers `shift_embeds`, whose shift s > 0 moves the root:
-    that one pair is not yet strictly root to root.
+    it still answers `shift_embeds`, whose shift s > 0 moves the root and
+    whose no refutes only spine-aligned embeddings: not yet root to root.
     """
     if t is s or t.single:
         return YES
@@ -83,7 +82,7 @@ def embeds(t: Term, s: Term, _memo=None) -> str:
     if t == s:
         out = YES
     elif isinstance(t, WSum) and isinstance(s, WSum):
-        out = shift_embeds(t, s, PAIR_HORIZON, _memo)
+        out = shift_embeds(t, s, _memo)
     else:
         # generic packing of root children; exact on finite terms, where a
         # root-to-root embedding is an injective matching of children into
@@ -190,14 +189,14 @@ def _pack(demands, capacities, memo):
     return UNKNOWN
 
 
-def shift_embeds(t: Term, s: Term, horizon: int = PAIR_HORIZON, memo=None) -> str:
+def shift_embeds(t: Term, s: Term, memo=None) -> str:
     """The shift relation between spined sums t and s: is there a shift
     k >= 0 with component n of t embedding in component n + k of s for
     every n, each pair decided root to root by `embeds`?  A yes gives an
     embedding without roots, spine vertex n mapped to n + k; a no refutes
-    only such spine-aligned embeddings.  `twins.verify_twins` uses it.
-    `horizon` bounds only the shifts searched one by one, 0..horizon, where
-    no shift table lists the deciding shifts; pairs take `PAIR_HORIZON`."""
+    only such spine-aligned embeddings.  `embeds` answers it between two
+    spined sums.  Where no shift table lists the deciding shifts, the
+    shifts 0..PAIR_HORIZON are searched one by one."""
     if memo is None:
         memo = {}
     p, q = t.seq, s.seq
@@ -230,10 +229,10 @@ def shift_embeds(t: Term, s: Term, horizon: int = PAIR_HORIZON, memo=None) -> st
             if walked == UNKNOWN:
                 verdict = UNKNOWN
         return verdict
-    for s in range(horizon + 1):
+    for s in range(PAIR_HORIZON + 1):
         if shift_walk(p, q, s, memo)[0] == YES:
             return YES
-    return UNKNOWN  # shifts beyond the horizon stay open
+    return UNKNOWN  # shifts beyond PAIR_HORIZON stay open
 
 
 # A generated tail pair at or below this position is tried first: its yes

@@ -1027,7 +1027,8 @@ def resolve(t: Term, address) -> ResolvedVertex:
     scoping into an arm copy of a sup (or the i-th member of a supseq), and
     ('into',) descending through a succ."""
     address = tuple(tuple(s) for s in address)
-    cur = t
+    cur = vertex = t
+    stem = ()
     spine_index = None
     comp_index = None
     depth = 0
@@ -1066,17 +1067,15 @@ def resolve(t: Term, address) -> ResolvedVertex:
             depth += 1
         else:
             raise AddressError(f"unknown step kind {kind!r}")
-    deg = cur.degree
-    # degree in the whole tree: children of the scoped subterm, plus the next
-    # spine vertex when the cursor sits on a spine, plus the parent edge
-    on_spine = bool(address) and address[-1][0] == "spine"
-    if on_spine:
-        n_last = address[-1][1]
-        has_parent = n_last > 0 or len(address) > 1
-        extra = 1 + (1 if has_parent else 0)
+        if kind != "arm":  # an arm copy's root is the vertex itself
+            vertex, stem = cur, address[: si + 1]
+    # degree in the whole tree: children of the vertex, plus the next spine
+    # vertex when it sits on a spine, plus the parent edge
+    if stem and stem[-1][0] == "spine":
+        extra = 2 if stem[-1][1] > 0 or len(stem) > 1 else 1
     else:
-        extra = 1 if address else 0
-    degree = "w" if deg == "w" else deg + extra
+        extra = 1 if stem else 0
+    degree = "w" if vertex.degree == "w" else vertex.degree + extra
     return ResolvedVertex(address, spine_index, depth, cur, degree, comp_index)
 
 

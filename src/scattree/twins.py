@@ -15,8 +15,8 @@ Two generators work on spined sums with a strict shift period:
   shift period.  Distinct position sets give distinct trees, and almost
   disjoint families of position sets witness large twin families.
 
-The twin embeddings map spine into spine and the root moves, so they are
-in `embedding.shift_embeds`' relation, not root to root.
+The twin embeddings map spine into spine and the root moves: they are
+shift walks (`embedding.shift_walk`), not root to root.
 
 Labelled paths get a complete small theory of their own: eventually
 periodic label sequences over a finite poset, exact embedding decision,
@@ -31,6 +31,7 @@ from math import lcm
 
 from .terms import (
     BOX,
+    UNKNOWN,
     YES,
     Patched,
     Term,
@@ -38,7 +39,6 @@ from .terms import (
     WSum,
     settled_from,
     stage,
-    tri_and,
 )
 
 # ---------------------------------------------------------------------------
@@ -491,7 +491,7 @@ def twin_n(t: Term, n: int, horizon: int = 8) -> Term:
     The pruned tree embeds into the original identically beyond the pruned
     zone (and a bare vertex embeds anywhere), and the original embeds into
     the pruned tree by shifting ceil((L+1)/k) periods, which lands every
-    component past the zone; both embeddings are `shift_embeds` yes.
+    component past the zone; both are shift walks (`verify_twins`).
     Different n leave pruned runs of different lengths, so the family is
     pairwise distinct.
     """
@@ -507,7 +507,7 @@ def twin_from_subset(t: Term, positions, horizon: int = 8) -> Term:
     n in the set, component n + k is replaced by a copy of component n (k
     the least strict period).
 
-    Both embeddings are in `shift_embeds`' relation.  The result embeds
+    Both embeddings are shift walks (`verify_twins`).  The result embeds
     into the original at shift 0: every component not replaced maps to
     itself, and a replaced component n + k holds component n, which the
     period-k shift sends to spine vertex n + k.  The original embeds into
@@ -552,30 +552,30 @@ def almost_disjoint_family(count: int, length: int = 8):
 CUT_WIDTH = 6
 
 
-def verify_twins(t: Term, twins, horizon: int = 12) -> dict:
+def verify_twins(t: Term, twins, horizon: int = 8) -> dict:
     """Certify a twin family of spined sums: every member mutually
-    embeddable with t (`shift_embeds` both ways), and pairwise distinct cut
-    codes.  Raises TermError when the family is empty, or when t or a
-    member is not a spined sum.
+    embeddable with t, and pairwise distinct cut codes.  Raises TermError
+    when the family is empty, or when t or a member is not a spined sum.
 
-    The cut depth is derived from the family: 20, or two past the deepest
-    patched spine position of any member (the reach), whichever is larger,
-    so every patch lies inside the cut.  A code is that of the cut within
-    that depth of the root, each class of a vertex's children counted at
-    most CUT_WIDTH times, so a code difference exhibits a concrete finite
-    neighbourhood on which the trees disagree.  Codes are symbolic
-    (``CutCoder``) and share one intern table, so they are comparable only
-    within one result.
-    The mutual checks search spine shifts up to `horizon` past the same
-    reach, since the n-th twin_n member needs a shift of at least 3n + 2,
-    and share one memo; the horizon bounds those shifts only, every pair
-    being decided within `embedding.PAIR_HORIZON`.  Neither the reach nor
-    the cut depth is capped: both follow the deepest patch.  A check left
-    `unknown`, or a code shared, reports the family unverified, never
-    wrongly verified.
+    Each member m is checked on the two shift walks (`embedding.shift_walk`)
+    its construction proves, all through one memo: m into t at shift 0, and
+    t into m at the first shift in last + 1 .. last + horizon that holds,
+    last being m's last patch.  Past last m equals t, so such a shift holds
+    exactly when it is a strict period of t; a family built at this horizon
+    or below has a period k <= horizon, and k's least multiple past last
+    lies in the window.  A member is yes when both walks hold, and unknown
+    otherwise, never no: a failing witness refutes nothing.
+
+    The cut depth is 20, or two past the deepest patch of any member if
+    that is larger, so every patch lies inside the cut.  A code counts each
+    class of a vertex's children at most CUT_WIDTH times, so a code
+    difference exhibits a finite neighbourhood on which the trees disagree.
+    Codes are symbolic (``CutCoder``) and share one intern table, so they
+    compare only within one result.  A check left unknown, or a code
+    shared, leaves the family unverified, never wrongly verified.
     """
     from .cuts import CutCoder
-    from .embedding import shift_embeds
+    from .embedding import shift_walk
 
     items = [t] + list(twins)
     if len(items) < 2 or not all(isinstance(x, WSum) for x in items):
@@ -585,10 +585,12 @@ def verify_twins(t: Term, twins, horizon: int = 12) -> dict:
     coder = CutCoder(CUT_WIDTH)
     depth = max(20, reach)
     codes = [str(coder.code(x, depth)) for x in items]
-    # one memo for every check both ways: the members share most
-    # component pairs, so each is decided once per family
-    h, memo = horizon + reach, {}
-    mutual = [tri_and(shift_embeds(t, s, h, memo), shift_embeds(s, t, h, memo)) for s in twins]
+    memo, mutual = {}, []  # the members share most component pairs
+    for m, last in zip(items[1:], patched[1:]):
+        holds = shift_walk(m.seq, t.seq, 0, memo)[0] == YES and any(
+            shift_walk(t.seq, m.seq, w, memo)[0] == YES for w in range(last + 1, last + horizon + 1)
+        )
+        mutual.append(YES if holds else UNKNOWN)
     distinct = len(set(codes)) == len(codes)
     return {
         "mutual": mutual,

@@ -23,8 +23,8 @@ from scattree.ends import shift_report
 from scattree.finite_trees import rooted_embeds
 from scattree.ranks import rank_summary
 from scattree.stability import twin_cardinality
-from scattree.terms import NO, UNKNOWN, YES, Patched, Periodic, WSum, format_term, parse_term, stage
-from scattree.twins import twin_n
+from scattree.terms import NO, UNKNOWN, YES, Patched, Periodic, TermError, WSum, format_term, parse_term, stage
+from scattree.twins import twin_from_subset, twin_n, verify_twins
 
 from test_parse import seq, term
 
@@ -103,6 +103,36 @@ def test_mutually_embeddable_twins_keep_the_invariants():
             assert twin_cardinality(member, HORIZON)[0] == count, text
             assert rank_summary(member).space_rank == rank_summary(t).space_rank, text
     assert checked > 1000
+
+
+def test_twin_families_verify_on_their_construction_walks():
+    """On the first 1500 seed-5 spines, each of the 685 with an infinite or
+    continuum twin count gets a 3-member `twin_n` family, which must
+    verify, and a 3-member `twin_from_subset` family drawn as the CLI's
+    `--seed` draws it, from `random.Random(i)` for spine #i.  234 of those
+    are built and 451 refused as no-ops; every member of a built family
+    must be mutually embeddable with t.  In 33 of them the members are
+    isomorphic to t, so codes are shared: they are counted, not asserted
+    distinct (`twin_from_subset` copies a component over an isomorphic
+    one written differently)."""
+    counted = built = shared = 0
+    for i, text in enumerate(_spines(1500)):
+        t = parse_term(text)
+        if twin_cardinality(t, HORIZON)[0] not in ("infinite", "continuum"):
+            continue
+        counted += 1
+        assert verify_twins(t, [twin_n(t, j, HORIZON) for j in (1, 2, 3)], HORIZON)["ok"], text
+        offsets = random.Random(i).sample(range(6), 3)
+        try:
+            family = [twin_from_subset(t, [j * (j + 1) // 2 + off for j in range(1, 7)], HORIZON) for off in offsets]
+        except TermError:
+            continue
+        built += 1
+        report = verify_twins(t, family, HORIZON)
+        assert report["mutual"] == [YES] * 3, text
+        shared += not report["codes_distinct"]
+    assert (counted, built) == (685, 234)
+    assert shared <= 33
 
 
 UNDECIDED = "strict periods undecided at "

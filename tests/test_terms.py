@@ -477,6 +477,24 @@ def test_resolve_a_supseq_member():
     assert resolve(t, (("arm", 1, 0),)).subterm == parse_term("succ(box)")
 
 
+@pytest.mark.parametrize(
+    "text, address, degree",
+    [
+        # spine vertex 1: two arm leaves, the next spine vertex and vertex 0
+        ("wsum([](sup(succ(box)*2)))", (("spine", 1), ("arm", 0, 0)), 4),
+        # the root with its two bare arms is a single vertex
+        ("sup(box*2)", (("arm", 0, 0),), 0),
+        # a member's root is the supseq's root, with a leaf from every member
+        ("supseq([](succ(box)))", (("arm", 0, 0),), "w"),
+    ],
+)
+def test_an_arm_step_keeps_the_vertex_and_its_degree(text, address, degree):
+    # an arm copy's root is the sup (or supseq) vertex itself, so the degree
+    # is read at the address without its trailing arm steps
+    t = parse_term(text)
+    assert resolve(t, address).degree == resolve(t, address[:-1]).degree == degree
+
+
 def test_level_of_the_root_without_a_spine_step():
     # the empty address of a spined sum is its root, spine vertex 0
     for name in ("ray", "ex1"):
@@ -710,6 +728,19 @@ def test_shift_embeds_moves_the_root():
 def test_embeds_between_spined_sums_is_root_to_root():
     t, s = parse_term(_TWO_ROOT_CHILDREN), parse_term(_ONE_ROOT_CHILD)
     assert embeds(t, s) == NO
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_a_spined_sum_embeds_in_its_copy_hung_at_a_root():
+    # the target's component 0 is the comb itself, hung at the target's
+    # root, so the comb embeds root to root; the wsum/wsum branch answers
+    # no, which refutes only spine-aligned embeddings.  Both terms are
+    # free of w, and their width-1 cuts embed at every depth.
+    comb = parse_term("wsum([](succ(box)))")
+    target = parse_term("wsum([wsum([](succ(box)))](box))")
+    for d in range(8):
+        assert rooted_embeds(truncate(comb, d, 1).rooted, truncate(target, d, 1).rooted)
+    assert embeds(comb, target) == YES
 
 
 def test_tri_logic_unknown_is_honest():
