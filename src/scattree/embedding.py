@@ -251,7 +251,8 @@ def shift_walk(p, q, s, memo=None, both_ways=False, reach=None):
     (equimorphy).
 
     * Periodic inner sequences: call a position marked when it holds a
-      prefix entry or a patch, and let L = lcm(cycles).  The pairs
+      prefix entry or a patch, and let L be the lcm of the cycles at their
+      least periods, as `components` lists them.  The pairs
       (p[n], q[n + s]) are of four kinds: both sides marked; p[n] marked
       and q[n + s] not; q[m] marked and p[m - s] not, for m >= s; and
       neither marked, two cycle members fixed by n mod L and s mod L.  The
@@ -329,7 +330,8 @@ class _ShiftTable:
     """The shift relation between two sequences p and q whose inner
     sequences are periodic (`shift_walk`), one table per memo: both
     layouts, and the verdict of each tail class and direction decided so
-    far.
+    far.  L, the lcm of the cycles at their least periods (`components`),
+    sets the tail window and the classes.
 
     `marked` lists the positions of a shift's marked pairs and `tail` those
     of its class; `read` takes each pair's two components straight off the
@@ -365,7 +367,7 @@ class _ShiftTable:
         """The shifts s, in increasing order, whose verdicts decide whether
         some shift of p along q holds: 0, the differences D = {m - n >= 0 :
         m marked in q, n marked in p}, and one shift per class of s mod L_q
-        from q's settled point S_q on (L_q: q's cycle length).
+        from q's settled point S_q on (L_q: q's cycle at its least period).
 
         From S_q on, q[n + s] is the cycle member fixed by n + s mod L_q,
         so a shift s >= S_q reads the pairs of its class's representative
@@ -373,7 +375,7 @@ class _ShiftTable:
         r's pairs.  At each n where q[n + s] is unmarked, s and r read the
         same pair.  At each n where q[n + s] is marked, p[n] is unmarked (s
         is not in D), and r's pair there, two cycle members, is the pair s
-        reads at n + jL for j large enough, L the lcm of the cycles.  So s
+        reads at n + jL for j large enough, L the table's lcm.  So s
         holds only if r does, and is unknown only if r is unknown or holds:
         leaving s out changes neither a yes nor a no.  D lies below S_q and
         takes a step per pair of marks to list, so when there are S_q such

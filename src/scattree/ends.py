@@ -16,20 +16,20 @@ strict verdict is the walk from 0, and the eventual offset is one past the
 last pair that is not yes, when the tail holds.  Over a periodic inner
 sequence the walk reads the pairs at prefix entries and patches, and the
 tail class of k: the pairs of cycle members, which depend only on k modulo
-the cycle length.  So a patch at position 10^8 costs what a patch at
-position 10 does.
+the cycle's least period.  So a patch at position 10^8 costs what a patch
+at position 10 does.
 
 Nor does the horizon set the cost when no generated tail is left.  Let S
 be the first position past the prefix and the patches (`settled_from`) and
-p the least period of the cycle under term equality: from S on, position m
-holds a term fixed by m mod p.  For k >= max(S, 1) + p and every n >= 0,
-both n + k and n + k - p are at least S and congruent mod p, so they hold
-equal terms: the walk at k reads exactly the pairs the walk at k - p read.
-So shift k takes its strict verdict and eventual offset from shift k - p,
-and the origin search skips it.  At most max(S, 1) + p - 1 shifts are
-walked, whatever the horizon, and from that horizon on every shift class
-has been walked, so a spine with no strict period among them is almost
-rigid.
+p the length of the cycle `terms.components` lists, its least period under
+term equality: from S on, position m holds a term fixed by m mod p.  For
+k >= max(S, 1) + p and every n >= 0, both n + k and n + k - p are at least
+S and congruent mod p, so they hold equal terms: the walk at k reads
+exactly the pairs the walk at k - p read.  So shift k takes its strict
+verdict and eventual offset from shift k - p, and the origin search skips
+it.  At most max(S, 1) + p - 1 shifts are walked, whatever the horizon,
+and from that horizon on every shift class has been walked, so a spine
+with no strict period among them is almost rigid.
 
 The walks of one report share one memo, and with it one shift table
 (`embedding._ShiftTable`) that keeps what the walks decide.  Each tail
@@ -38,8 +38,10 @@ once, and so do the origin's both-ways walks of one class.  A class that
 fails settles its shift before any pair at a mark is read.  Every pair
 the walk reads goes to `embeds`, which decides it once per memo and pair
 of component terms, so equal components built as distinct objects share
-one verdict.  The report's horizon bounds the shifts only: every pair is
-decided within the one pair budget, `embedding.PAIR_HORIZON`.
+one verdict.  The report's horizon bounds the shifts, and past a generated
+tail's transient the pairs scanned for an eventual offset, max(4,
+horizon // 2) of them; every pair is decided within the one pair budget,
+`embedding.PAIR_HORIZON`.
 
 Regularity asks whether the components fall into finitely many equimorphy
 classes.  Certificates:
@@ -185,7 +187,9 @@ def _almost_rigid(seq, periods_yes, periods_unknown, horizon, first):
 
 def shift_report(t: Term, horizon: int = 8) -> ShiftReport:
     """Shift analysis of a spined sum over the shifts 1..horizon.  The
-    horizon bounds the shifts only: each pair of components is decided by
+    horizon bounds the shifts, and the max(4, horizon // 2) pairs past a
+    generated tail's transient that are scanned for an eventual offset
+    (`shift_walk`'s `reach`); each pair of components is decided by
     `embeds` within `embedding.PAIR_HORIZON`, whatever the report's own.
     The report is cached on the term object per horizon (`analysis_cache`)
     and shared by every caller, so it must not be mutated: its containers
@@ -234,13 +238,13 @@ def _shift_report(seq, horizon):
 
 def _repeat_from(seq):
     """(first, p): every shift k >= first = max(S, 1) + p repeats shift
-    k - p, p the cycle's least period under term equality (module
-    docstring).  A generated tail leaves no cycle to repeat: first is INF."""
+    k - p, p the cycle's least period, the length `components` lists
+    (module docstring).  A generated tail leaves no cycle to repeat: first
+    is INF."""
     _, recurring, gen = components(seq)
     if gen is not None:
         return INF, 0
-    n = len(recurring)
-    p = next((p for p in range(1, n // 2 + 1) if n % p == 0 and recurring[p:] == recurring[: n - p]), n)
+    p = len(recurring)
     return max(settled_from(seq), 1) + p, p
 
 

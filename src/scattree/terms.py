@@ -208,8 +208,9 @@ class SupSeq(Term):
     a child, the supseq is *regular*: it is the tree sup(o1, ..., ok,
     c1*w, ..., cL*w) of its components that are not single vertices, o
     those that occur once (prefix entries and patches, in position order)
-    and c the cycle members, and `arms` holds those (term, multiplicity)
-    pairs, measured as a sup's.  Otherwise `arms` is None."""
+    and c the members of the cycle at its least period (`components`), and
+    `arms` holds those (term, multiplicity) pairs, measured as a sup's.
+    Otherwise `arms` is None."""
 
     __slots__ = ("seq", "arms", "single", "rayless", "size", "height", "degree")
 
@@ -818,18 +819,22 @@ def components(seq):
     """The layout of a component sequence as (once, recurring, generated):
     `once`, the (position, term) pairs, in position order, of the prefix
     entries no patch overrides and of the patches; `recurring`, the cycle
-    terms, each at infinitely many positions; and `generated`, the
-    Generated sequence whose stages fill every other position, or None.
-    Every reader of a sequence's layout goes through here.  A generated
-    sequence is read whole, patched positions included.  The layout is
-    computed once per sequence object and kept in its `_layout` slot."""
+    at its least period under term equality, from the first position past
+    the prefix, each term at infinitely many positions; and `generated`,
+    the Generated sequence whose stages fill every other position, or
+    None.  Every reader of a sequence's layout goes through here, so all
+    read one cycle length.  A generated sequence is read whole, patched
+    positions included.  The layout is computed once per sequence object
+    and kept in its `_layout` slot."""
     layout = seq._layout
     if layout is not None:
         return layout
     if isinstance(seq, Generated):
         return (), (), seq
     if isinstance(seq, Periodic):
-        layout = tuple(enumerate(seq.prefix)), seq.cycle, None
+        cycle, n = seq.cycle, len(seq.cycle)
+        p = next((p for p in range(1, n // 2 + 1) if n % p == 0 and cycle[p:] == cycle[: n - p]), n)
+        layout = tuple(enumerate(seq.prefix)), cycle[:p], None
     else:
         # patched: the inner layout, its overridden entries replaced by the patches
         once, recurring, gen = components(seq.inner)

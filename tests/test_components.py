@@ -10,8 +10,11 @@ whether the components hang along a spine (`wsum`) or at one root
 
 import random
 
+from scattree import embedding
+from scattree.embedding import shift_walk
 from scattree.ranks import rank_summary
 from scattree.terms import (
+    NO,
     Patched,
     Periodic,
     SupSeq,
@@ -85,6 +88,33 @@ def test_components_layout():
     assert gen is None
     gen_seq = parse_term("supseq(patch(gen(box;succ(_));4:box))").seq
     assert components(gen_seq) == (gen_seq.patches, (), gen_seq.inner)
+
+
+def test_a_cycle_is_listed_at_its_least_period(monkeypatch):
+    """A cycle written twice over lists as the cycle written once, so a
+    shift walk over it reads as many tail positions as over the cycle
+    written once; a cycle with no shorter period stays whole."""
+    a, b, x, y = (parse_term(t) for t in ("box", "succ(box)", "sup(box*2)", "succ(succ(box))"))
+    doubled = Periodic([], [a, b, a, b])
+    assert components(doubled)[1] == (a, b)
+    assert doubled.cycle == (a, b, a, b)  # the sequence keeps its cycle as written
+    assert components(Patched(Periodic([x], [a, b, a, b]), {7: y}))[1] == (a, b)
+    assert components(Periodic([], [a, a, a]))[1] == (a,)
+    assert components(Periodic([], [a, b, a]))[1] == (a, b, a)
+
+    tails = []
+    table = embedding._ShiftTable
+    listed = table.tail
+
+    def counted(self):
+        positions = list(listed(self))
+        tails.append(len(positions))
+        return positions
+
+    monkeypatch.setattr(table, "tail", counted)
+    for seq in (Periodic([], [a, b]), doubled):
+        assert shift_walk(seq, seq, 1, memo={}) == (NO, None)
+    assert tails == [2, 2]
 
 
 def test_layout_is_computed_once_per_sequence():

@@ -5,7 +5,7 @@ branch counts, ranks, cuts) must give it the answers that sup gets."""
 
 import random
 
-from scattree.cuts import expand_finite, truncate
+from scattree.cuts import CutCoder, expand_finite, truncate
 from scattree.embedding import embeds
 from scattree.finite_trees import canonical_code
 from scattree.ranks import rank_summary
@@ -122,3 +122,17 @@ def test_recurring_members_cut_to_width_copies():
             a, b = truncate(t, depth, width), truncate(s, depth, width)
             assert canonical_code(a.rooted) == canonical_code(b.rooted)
             assert a.lossy and b.lossy  # the copies past the width are hidden
+
+
+def test_a_cycle_written_twice_cuts_as_written_once():
+    # a supseq's arms list each recurring member once, however often its
+    # cycle is written
+    t = parse_term("supseq([](succ(box),succ(box)))")
+    s = parse_term("supseq([](succ(box)))")
+    for width in (1, 2, 3):
+        coder = CutCoder(width)
+        for depth in range(5):
+            a, b = truncate(t, depth, width), truncate(s, depth, width)
+            assert a.tree.n == b.tree.n, (depth, width)
+            assert canonical_code(a.rooted) == canonical_code(b.rooted), (depth, width)
+            assert coder.code(t, depth) == coder.code(s, depth), (depth, width)

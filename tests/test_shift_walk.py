@@ -18,10 +18,11 @@ answers as fresh memos do, and a spine of equal components built as
 distinct objects checks that it costs the memory of a shared one.
 
 `shift_report` walks a shift k only below max(S, 1) + L, where S is the
-first position past the prefix and the patches and L the cycle length;
-every later shift repeats shift k - L.  A dense report that walks every
-shift up to the horizon checks that this changes no field of the report,
-and a walk count checks that the horizon no longer sets the cost.
+first position past the prefix and the patches and L the cycle's least
+period, the length `components` lists; every later shift repeats shift
+k - L.  A dense report that walks every shift up to the horizon checks
+that this changes no field of the report, and a walk count checks that
+the horizon no longer sets the cost.
 """
 
 import gc
@@ -543,7 +544,7 @@ def test_periodic_spine_walks_each_shift_class_once(monkeypatch):
     shorter = 0
     for _ in range(200):
         seq = spine(rng)
-        cycle = components(seq)[1]
+        cycle = inner(seq).cycle  # as written, so that some are longer than p
         n = len(cycle)
         period = min(p for p in range(1, n + 1) if all(cycle[i] == cycle[(i + p) % n] for i in range(n)))
         shorter += period < n
